@@ -27,7 +27,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import InteractionSingularityError
-from .ode import integrate_dp45
+from .ode import integrate_dp45, sample_grid
 from .system import SystemParams
 
 if os.environ.get("GLDIMER_PURE_PYTHON") == "1":
@@ -177,11 +177,7 @@ def integrate(initial: MomentState, t_final: float, params: SystemParams,
               mode: BbrMode, *, rtol: float = 1e-10, atol: float = 1e-12,
               sample_interval: float | None = None) -> BbrTrajectory:
     """Adaptive integration of the closed moment equations."""
-    if sample_interval is None:
-        sample_interval = t_final / 400 if t_final > 0 else 1.0
-    n_pts = int(np.floor(t_final / sample_interval + 1e-9))
-    ts = np.unique(np.concatenate((np.arange(n_pts + 1) * sample_interval,
-                                   [t_final])))
+    ts = sample_grid(t_final, sample_interval, 400)
 
     def rhs(_t, y):
         return moment_rhs(y, params, mode)

@@ -1,8 +1,7 @@
 """Scenario runner: configures the engines, runs single jobs or parameter
 sweeps, and writes figure-ready CSV datasets plus a JSON run manifest.
 
-Usage:  gldimer <scenario> [--config FILE] [--out DIR] [--threads N]
-                [--tolerance X]
+Usage:  gldimer <scenario> [--config FILE] [--out DIR] [--tolerance X]
 
 Scenarios: fig1-nonosci-sweep, fig2-bloch-trajectories,
 fig3-steady-distributions, fig4-bbr-steady-components, fig5-purity-maps,
@@ -117,7 +116,6 @@ _SCHEMAS: dict[str, dict] = {
         "g": (float, 0.0),
         "cutoff": (int, 24),
         "truncation_ceiling": (float, 1e-6),
-        "method": (str, "lgmres"),
     },
 }
 
@@ -127,7 +125,6 @@ class ScenarioConfig:
     scenario: str
     values: dict
     out_dir: Path
-    threads: int = 1
 
     def __getitem__(self, key):
         return self.values[key]
@@ -182,14 +179,13 @@ def parse_config(text: str, scenario: str) -> dict:
     return values
 
 
-def resolve_config(scenario: str, overrides: dict, out_dir: Path,
-                   threads: int) -> ScenarioConfig:
+def resolve_config(scenario: str, overrides: dict,
+                   out_dir: Path) -> ScenarioConfig:
     schema = _SCHEMAS[scenario]
     values = {k: default for k, (_p, default) in schema.items()}
     values.update(overrides)
     _validate(scenario, values)
-    return ScenarioConfig(scenario=scenario, values=values, out_dir=out_dir,
-                          threads=threads)
+    return ScenarioConfig(scenario=scenario, values=values, out_dir=out_dir)
 
 
 def _validate(scenario: str, v: dict) -> None:
@@ -215,6 +211,13 @@ def _validate(scenario: str, v: dict) -> None:
         raise ConfigError("samples: must be >= 2")
     if "t_final" in v and v["t_final"] <= 0:
         raise ConfigError("t_final: must be > 0")
+    if "sample_interval" in v and v["sample_interval"] <= 0:
+        raise ConfigError("sample_interval: must be > 0")
+    if "truncation_ceiling" in v and v["truncation_ceiling"] <= 0:
+        raise ConfigError("truncation_ceiling: must be > 0")
+    if "g_grid_steps" in v and v["g_grid_steps"] < 2:
+        raise ConfigError("g_grid_steps: must be >= 2 (the g = 0 point "
+                          "is dropped from the map grid)")
 
 
 class _Writer:
@@ -423,20 +426,10 @@ def _run_fig5(config: ScenarioConfig, writer: _Writer,
         gammas = np.arange(config["gamma_min"],
                            config["gamma_max"] + 0.5 * config["gamma_step"],
                            config["gamma_step"])
-
-        def one_branch(g: float):
-            return bbr.sweep_gamma(gammas, float(g), config["n0"], mode,
-                                   J=config["J"])
-
-        if config.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                branch_sweeps = list(pool.map(one_branch, g_grid))
-        else:
-            branch_sweeps = [one_branch(g) for g in g_grid]
         map_rows = []
-        for sweep in branch_sweeps:  # deterministic: ordered by g
+        for g in g_grid:
+            sweep = bbr.sweep_gamma(gammas, float(g), config["n0"], mode,
+                                    J=config["J"])
             for p in sweep.points:
                 map_rows.append((p.gamma, p.g,
                                  p.state.purity if p.state else np.nan,
@@ -468,8 +461,7 @@ def _run_custom_steady(config: ScenarioConfig, writer: _Writer,
                                  n0=config["n0"], J=config["J"])
     cfg = steadysolve.SteadySolveConfig(
         residual_tol=min(1e-10, config["tolerance"]),
-        truncation_ceiling=config["truncation_ceiling"],
-        method=config["method"])
+        truncation_ceiling=config["truncation_ceiling"])
     sol = steadysolve.solve_steady(params, basis, cfg)
     diag = np.diagonal(sol.rho).real
     writer.csv("steady_diagonal.csv", steadysolve.DIAGONAL_COLUMNS,
@@ -509,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="key = value parameter file")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: GLDIMER_OUT or cwd)")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--tolerance", type=float, default=None,
                        help="override the engine tolerance")
     return parser
@@ -529,12 +520,9 @@ def main(argv=None) -> int:
             if args.tolerance <= 0:
                 raise ConfigError("tolerance: must be > 0")
             overrides["tolerance"] = args.tolerance
-        if args.threads < 1:
-            raise ConfigError("threads: must be >= 1")
         out_root = Path(os.environ.get("GLDIMER_OUT", "."))
         out_dir = args.out if args.out is not None else out_root
-        config = resolve_config(args.scenario, overrides, out_dir,
-                                args.threads)
+        config = resolve_config(args.scenario, overrides, out_dir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

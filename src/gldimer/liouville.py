@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from . import fock
 from .errors import TruncationOverflowError
 from .fock import TwoModeBasis, BlochMoments
-from .ode import integrate_dp45
+from .ode import integrate_dp45, sample_grid
 from .system import SystemParams, balanced_rates
 
 __all__ = [
@@ -293,17 +293,6 @@ class Trajectory:
                    self.truncation_mass[i])
 
 
-def _sample_times(t_final: float, config: PropagationConfig) -> np.ndarray:
-    interval = config.sample_interval
-    if interval is None:
-        interval = t_final / 200 if t_final > 0 else 1.0
-    if interval <= 0:
-        raise ValueError("sample_interval must be positive")
-    n_points = int(np.floor(t_final / interval + 1e-9))
-    ts = np.unique(np.concatenate((np.arange(n_points + 1) * interval, [t_final])))
-    return ts
-
-
 def _moments_to_arrays(ts, moment_list, masses):
     s = np.array([[m.s_x, m.s_y, m.s_z, m.n] for m in moment_list])
     pur = np.array([
@@ -316,6 +305,40 @@ def _moments_to_arrays(ts, moment_list, masses):
                 truncation_mass=np.asarray(masses))
 
 
+def _integrate(y0: np.ndarray, t_final: float, gen: sp.csr_array,
+               herm_perm: np.ndarray, boundary: np.ndarray,
+               config: PropagationConfig):
+    """Integrate y' = gen y from a packed state, re-hermitizing after every
+    step (herm_perm maps each packed entry to its transpose) and aborting
+    once the diagonal entries at `boundary` carry more than the ceiling."""
+    mass0 = float(np.sum(y0[boundary].real))
+    if mass0 > config.truncation_ceiling:
+        raise TruncationOverflowError(
+            f"initial boundary mass {mass0:.3e} exceeds ceiling "
+            f"{config.truncation_ceiling:.3e}")
+
+    def rhs(_t, v):
+        return gen @ v
+
+    def hermitize_step(_t, v):
+        return 0.5 * (v + v[herm_perm].conj())
+
+    def monitor(t, v):
+        mass = float(np.sum(v[boundary].real))
+        if mass > config.truncation_ceiling:
+            raise TruncationOverflowError(
+                f"boundary mass {mass:.3e} exceeded ceiling "
+                f"{config.truncation_ceiling:.3e} at t = {t:.6g} "
+                "(basis too small)")
+
+    return integrate_dp45(
+        rhs, (0.0, t_final), y0,
+        rtol=config.rtol, atol=config.atol, max_step=config.max_step,
+        sample_times=sample_grid(t_final, config.sample_interval, 200),
+        on_step=hermitize_step, monitor=monitor,
+    )
+
+
 def propagate(rho0: np.ndarray, t_final: float, params: SystemParams,
               basis: TwoModeBasis,
               config: PropagationConfig = PropagationConfig()) -> Trajectory:
@@ -325,36 +348,11 @@ def propagate(rho0: np.ndarray, t_final: float, params: SystemParams,
     boundary shell exceeds the configured ceiling.
     """
     fock.check_density_matrix(rho0)
-    mass0 = fock.truncation_mass(rho0, basis)
-    if mass0 > config.truncation_ceiling:
-        raise TruncationOverflowError(
-            f"initial boundary mass {mass0:.3e} exceeds ceiling "
-            f"{config.truncation_ceiling:.3e}")
-    lv = build_liouvillian(params, basis)
     dim = basis.dim
-    perm = (np.arange(dim * dim).reshape(dim, dim).T).ravel()
-    diag_boundary = basis.boundary * dim + basis.boundary
-
-    def rhs(_t, v):
-        return lv @ v
-
-    def hermitize_step(_t, v):
-        return 0.5 * (v + v[perm].conj())
-
-    def monitor(t, v):
-        mass = float(np.sum(v[diag_boundary].real))
-        if mass > config.truncation_ceiling:
-            raise TruncationOverflowError(
-                f"boundary mass {mass:.3e} exceeded ceiling "
-                f"{config.truncation_ceiling:.3e} at t = {t:.6g} "
-                "(basis too small)")
-
-    ts = _sample_times(t_final, config)
-    result = integrate_dp45(
-        rhs, (0.0, t_final), rho0.ravel(order="F"),
-        rtol=config.rtol, atol=config.atol, max_step=config.max_step,
-        sample_times=ts, on_step=hermitize_step, monitor=monitor,
-    )
+    result = _integrate(
+        rho0.ravel(order="F"), t_final, build_liouvillian(params, basis),
+        np.arange(dim * dim).reshape(dim, dim).T.ravel(),
+        basis.boundary * dim + basis.boundary, config)
     moments, masses = [], []
     for v in result.sample_ys:
         rho = v.reshape((dim, dim), order="F")
@@ -377,35 +375,11 @@ def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
     """
     fock.check_density_matrix(rho0)
     space = number_block_space(basis)
-    mass0 = fock.truncation_mass(rho0, basis)
-    if mass0 > config.truncation_ceiling:
-        raise TruncationOverflowError(
-            f"initial boundary mass {mass0:.3e} exceeds ceiling "
-            f"{config.truncation_ceiling:.3e}")
-    gen = build_number_block_generator(params, basis)
-    perm = space.herm_perm
     bpos = space.boundary_diag_positions
-
-    def rhs(_t, v):
-        return gen @ v
-
-    def hermitize_step(_t, v):
-        return 0.5 * (v + v[perm].conj())
-
-    def monitor(t, v):
-        mass = float(np.sum(v[bpos].real))
-        if mass > config.truncation_ceiling:
-            raise TruncationOverflowError(
-                f"boundary mass {mass:.3e} exceeded ceiling "
-                f"{config.truncation_ceiling:.3e} at t = {t:.6g} "
-                "(basis too small)")
-
-    ts = _sample_times(t_final, config)
-    result = integrate_dp45(
-        rhs, (0.0, t_final), pack_block(rho0, space),
-        rtol=config.rtol, atol=config.atol, max_step=config.max_step,
-        sample_times=ts, on_step=hermitize_step, monitor=monitor,
-    )
+    result = _integrate(
+        pack_block(rho0, space), t_final,
+        build_number_block_generator(params, basis), space.herm_perm, bpos,
+        config)
     moments = [block_moments(v, basis) for v in result.sample_ys]
     masses = [float(np.sum(v[bpos].real)) for v in result.sample_ys]
     arrays = _moments_to_arrays(result.sample_ts, moments, masses)

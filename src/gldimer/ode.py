@@ -9,23 +9,27 @@ Works on real or complex flat state vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import sqrt
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import StepUnderflowError
 
-# Dormand-Prince 5(4) tableau; row 7 doubles as the 5th-order weights (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+# Dormand-Prince 5(4) tableau as a lower-triangular stage matrix; row 7
+# doubles as the 5th-order weights (FSAL), so the last stage's input is the
+# new state.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_A_ROWS = [_A[i, :i] for i in range(7)]
 # 5th-order minus 4th-order weights (error estimate)
 _E = np.array([
     35 / 384 - 5179 / 57600,
@@ -36,6 +40,7 @@ _E = np.array([
     11 / 84 - 187 / 2100,
     -1 / 40,
 ])
+_EPS = float(np.finfo(float).eps)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -56,7 +61,8 @@ class OdeResult:
 
 def _error_norm(err, y_old, y_new, rtol, atol):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+    r = err / scale
+    return sqrt(np.vdot(r, r).real / r.size)
 
 
 def _initial_step(rhs, t0, y0, f0, rtol, atol):
@@ -72,6 +78,21 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1)
+
+
+def sample_grid(t_final: float, sample_interval: float | None,
+                default_divisor: int) -> np.ndarray:
+    """Sample times 0, h, 2h, ... up to t_final, plus t_final itself.
+
+    h is sample_interval, or t_final / default_divisor when it is None.
+    """
+    if sample_interval is None:
+        sample_interval = t_final / default_divisor if t_final > 0 else 1.0
+    if not sample_interval > 0:
+        raise ValueError("sample_interval must be positive")
+    n_points = int(np.floor(t_final / sample_interval + 1e-9))
+    return np.unique(np.concatenate(
+        (np.arange(n_points + 1) * sample_interval, [t_final])))
 
 
 def integrate_dp45(
@@ -138,9 +159,11 @@ def integrate_dp45(
         res.n_rhs += 2
     h = min(h, max_step, abs(t1 - t0))
 
-    k = [None] * 7
+    # stage derivatives, one row each; row 0 holds f(t, y)
+    k = np.empty((7,) + np.shape(f), dtype=np.result_type(y, f))
+    k[0] = f
     while (t1 - t) * direction > 0:
-        h_min = 16 * np.finfo(float).eps * max(abs(t), 1.0)
+        h_min = 16 * _EPS * max(abs(t), 1.0)
         if h < h_min:
             raise StepUnderflowError(f"step size underflow at t = {t}")
         # clamp onto the end point and the next sample time
@@ -150,26 +173,19 @@ def integrate_dp45(
         h_eff = max(h_eff, h_min)
         dt = direction * h_eff
 
-        k[0] = f
         for i in range(1, 7):
-            yi = y + dt * sum(aij * k[j] for j, aij in enumerate(_A[i]) if aij != 0.0)
-            k[i] = rhs(t + _C[i] * dt, yi)
+            y_new = y + dt * (_A_ROWS[i] @ k[:i])
+            k[i] = rhs(t + _C[i] * dt, y_new)
         res.n_rhs += 6
-        y_new = y + dt * (
-            _A[6][0] * k[0] + _A[6][2] * k[2] + _A[6][3] * k[3]
-            + _A[6][4] * k[4] + _A[6][5] * k[5]
-        )
-        # k[6] is f(t+dt, y_new) by FSAL construction (A row 7 == b5)
-        err = dt * (
-            _E[0] * k[0] + _E[2] * k[2] + _E[3] * k[3]
-            + _E[4] * k[4] + _E[5] * k[5] + _E[6] * k[6]
-        )
+        # y_new is the last stage's input, the 5th-order solution, and k[6]
+        # is f(t+dt, y_new) by FSAL construction
+        err = dt * (_E @ k)
         err_norm = _error_norm(err, y, y_new, rtol, atol)
 
         if err_norm <= 1.0:
             t = t + dt
             y = y_new
-            f = k[6]
+            k[0] = k[6]
             if on_step is not None:
                 # post-step projection (e.g. hermitization); assumed small
                 # enough that the FSAL derivative stays valid

@@ -1,12 +1,15 @@
 """Non-equilibrium steady state of the full master equation.
 
-Solves L(rho) = 0 with Tr rho = 1 on the truncated basis.  The singular
-system is made square by overwriting one row of the vectorized generator
-(the equation for d rho_00/dt, which is implied by trace preservation of
-the remainder) with the trace-one constraint, and solving the result with
-a restarted Krylov method.  The residual of the returned state is
-re-verified by an independent application of the generator in matrix
-form, never trusted from the solver.
+Solves L(rho) = 0 with Tr rho = 1 on the truncated basis.  The generator
+never couples the number-conserving coherence sector to the rest, and the
+non-degenerate steady state carries no other coherences, so the solve runs
+on that sector's generator.  The singular system is made square by
+overwriting one row (the equation for d rho_00/dt, which is implied by
+trace preservation of the remainder) with the trace-one constraint, and is
+solved directly by a sparse LU factorization, followed by a few steps of
+iterative refinement only if needed.  The residual of the returned state
+is re-verified by an independent application of the full generator in
+matrix form, never trusted from the solver.
 """
 
 from __future__ import annotations
@@ -24,37 +27,27 @@ from .fock import TwoModeBasis
 from .system import SystemParams
 
 DIAGONAL_COLUMNS = ("n1", "n2", "p")
+# iterative-refinement steps x += lu.solve(b - a @ x) allowed after the
+# direct solve before the residual is declared out of reach
+MAX_REFINEMENTS = 3
 
 
 @dataclass(frozen=True)
 class SteadySolveConfig:
     residual_tol: float = 1e-10        # on max|L(rho)|, verified independently
-    max_matvecs: int = 200_000
-    restart: int = 30                  # inner Krylov depth
-    outer_k: int = 3                   # retained outer vectors
     truncation_ceiling: float = 1e-6
-    method: str = "lgmres"             # "lgmres" or "gmres"
-    preconditioner: str = "auto"       # auto | none | jacobi | ilu | lu
     clip_floor: float = 1e-10          # negative-eigenvalue clip magnitude
-    reduction: str = "number-sector"   # "number-sector" or "none"
 
     def __post_init__(self):
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
-        if self.method not in ("lgmres", "gmres"):
-            raise ValueError(f"unknown Krylov method {self.method!r}")
-        if self.reduction not in ("number-sector", "none"):
-            raise ValueError(f"unknown reduction {self.reduction!r}")
-        if self.preconditioner not in ("auto", "none", "jacobi", "ilu", "lu"):
-            raise ValueError(
-                f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass
 class SteadySolution:
     rho: np.ndarray
     residual: float                  # max|L(rho)| after post-processing
-    matvecs: int
+    matvecs: int                     # refinement products a @ x
     truncation_mass: float
     eigenvalue_floor: float          # smallest eigenvalue before clipping
     adjustments: dict = field(default_factory=dict)
@@ -85,53 +78,9 @@ def _replace_trace_row(gen: sp.csr_array, diag_positions: np.ndarray):
     return a, b
 
 
-def _constrained_system(params: SystemParams, basis: TwoModeBasis,
-                        reduction: str):
-    """Trace-constrained square system in the requested representation.
-
-    With reduction="number-sector" the system acts on the number-conserving
-    coherence sector only; the generator never couples that sector to the
-    rest and the non-degenerate steady state carries no other coherences
-    (which the independent full-generator residual check verifies a
-    posteriori).
-    """
-    if reduction == "number-sector":
-        space = liouville.number_block_space(basis)
-        gen = liouville.build_number_block_generator(params, basis)
-        a, b = _replace_trace_row(gen, space.diag_positions)
-
-        def to_vec(rho):
-            return liouville.pack_block(rho, space)
-
-        def to_rho(x):
-            return liouville.unpack_block(x, space)
-
-        return a, b, to_vec, to_rho
-    lv = liouville.build_liouvillian(params, basis)
-    dim = basis.dim
-    diag_positions = np.arange(dim) * dim + np.arange(dim)
-    a, b = _replace_trace_row(lv, diag_positions)
-    return (a, b,
-            lambda rho: rho.ravel(order="F"),
-            lambda x: x.reshape((dim, dim), order="F"))
-
-
-def geometric_start(params: SystemParams, basis: TwoModeBasis) -> np.ndarray:
-    """Diagonal separable start vector: product of geometric single-site
-    distributions with the balanced-rate ratio."""
-    xi = params.gamma_gain / params.gamma_loss
-    occ = np.arange(basis.cutoff + 1)
-    p = (1 - xi) * xi**occ
-    p = p / p.sum()
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    diag = np.outer(p, p).ravel()
-    np.fill_diagonal(rho, diag)
-    return rho
-
-
 def solve_steady(params: SystemParams, basis: TwoModeBasis,
-                 config: SteadySolveConfig = SteadySolveConfig(),
-                 start: np.ndarray | None = None) -> SteadySolution:
+                 config: SteadySolveConfig = SteadySolveConfig()
+                 ) -> SteadySolution:
     """Solve for the steady state; hard errors on non-convergence or
     boundary-mass overflow, each with diagnostics in the message."""
     if params.gamma <= 0:
@@ -139,70 +88,27 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
             "steady state undefined at gamma = 0: every mixture of "
             "Hamiltonian eigenprojectors is stationary")
     t0 = time.monotonic()
-    a, b, to_vec, to_rho = _constrained_system(params, basis,
-                                               config.reduction)
-
-    matvec_count = [0]
-
-    def counted(v):
-        matvec_count[0] += 1
-        return a @ v
-
-    op = spla.LinearOperator(a.shape, matvec=counted, dtype=complex)
-    # Unpreconditioned restarted Krylov stagnates badly on this strongly
-    # non-normal generator; a complete sparse LU of the (reduced) system
-    # makes the iteration converge in a handful of matvecs and its result
-    # is still verified through the independent residual below.
-    kind = config.preconditioner
-    if kind == "auto":
-        kind = "lu" if config.reduction == "number-sector" else "none"
-    precond = None
-    if kind == "jacobi":
-        d = a.diagonal()
-        d = np.where(np.abs(d) < 1e-14, 1.0, d)
-        precond = spla.LinearOperator(a.shape, matvec=lambda v: v / d,
-                                      dtype=complex)
-    elif kind == "ilu":
-        ilu = spla.spilu(sp.csc_matrix(a), drop_tol=1e-5, fill_factor=20)
-        precond = spla.LinearOperator(a.shape, matvec=ilu.solve,
-                                      dtype=complex)
-    elif kind == "lu":
-        lu = spla.splu(sp.csc_matrix(a))
-        precond = spla.LinearOperator(a.shape, matvec=lu.solve,
-                                      dtype=complex)
-
-    x = to_vec(start if start is not None
-               else geometric_start(params, basis))
-
-    residual = np.inf
-    rho = None
-    adjustments = {}
-    # the Krylov tolerance is tightened until the independently verified
-    # residual of the post-processed state meets the contract
-    for rtol in (1e-8, 1e-10, 1e-12, 1e-14):
-        budget = config.max_matvecs - matvec_count[0]
-        if budget <= 0:
-            break
-        if config.method == "lgmres":
-            x, info = spla.lgmres(
-                op, b, x0=x, M=precond, rtol=rtol, atol=0.0,
-                inner_m=config.restart, outer_k=config.outer_k,
-                maxiter=max(1, budget // config.restart))
-        else:
-            x, info = spla.gmres(
-                op, b, x0=x, M=precond, rtol=rtol, atol=0.0,
-                restart=config.restart,
-                maxiter=max(1, budget // config.restart))
-        rho, adjustments = _post_process(to_rho(x), config)
+    space = liouville.number_block_space(basis)
+    a, b = _replace_trace_row(
+        liouville.build_number_block_generator(params, basis),
+        space.diag_positions)
+    lu = spla.splu(sp.csc_matrix(a))
+    x = lu.solve(b)
+    matvecs = 0
+    while True:
+        rho, adjustments, floor = _post_process(
+            liouville.unpack_block(x, space), config)
         residual = float(np.max(np.abs(
             liouville.apply_liouvillian(rho, params, basis))))
         if residual < config.residual_tol:
             break
-    if rho is None or residual >= config.residual_tol:
-        raise ConvergenceError(
-            f"steady-state solve stalled: achieved residual {residual:.3e} "
-            f"(tolerance {config.residual_tol:.3e}) after "
-            f"{matvec_count[0]} matvecs")
+        if matvecs == MAX_REFINEMENTS:
+            raise ConvergenceError(
+                f"steady-state solve stalled: achieved residual "
+                f"{residual:.3e} (tolerance {config.residual_tol:.3e}) "
+                f"after {matvecs} refinement steps")
+        x = x + lu.solve(b - a @ x)
+        matvecs += 1
 
     mass = fock.truncation_mass(rho, basis)
     if mass > config.truncation_ceiling:
@@ -211,10 +117,9 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
             f"ceiling {config.truncation_ceiling:.3e}; enlarge the basis "
             f"(residual was {residual:.3e})")
 
-    evals = np.linalg.eigvalsh(rho)
     sol = SteadySolution(
-        rho=rho, residual=residual, matvecs=matvec_count[0],
-        truncation_mass=mass, eigenvalue_floor=float(evals.min()),
+        rho=rho, residual=residual, matvecs=matvecs,
+        truncation_mass=mass, eigenvalue_floor=floor,
         adjustments=adjustments, wall_time=time.monotonic() - t0,
     )
     return sol.attach_moments(basis)
@@ -222,10 +127,12 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
 
 def _post_process(rho_raw: np.ndarray, config: SteadySolveConfig):
     """Hermitize, clip negligible negative eigenvalues, renormalize;
-    every adjustment is recorded."""
+    every adjustment is recorded.  Also returns the smallest eigenvalue
+    of the hermitized state before clipping."""
     rho = 0.5 * (rho_raw + rho_raw.conj().T)
     herm_delta = float(np.max(np.abs(rho - rho_raw)))
     evals, evecs = np.linalg.eigh(rho)
+    floor = float(evals.min())
     clip_mask = (evals < 0) & (evals > -config.clip_floor)
     clipped = float(-evals[clip_mask].sum())
     if clip_mask.any():
@@ -237,7 +144,7 @@ def _post_process(rho_raw: np.ndarray, config: SteadySolveConfig):
         "hermitization_max_abs": herm_delta,
         "clipped_negative_mass": clipped,
         "trace_renormalization": float(abs(tr - 1.0)),
-    }
+    }, floor
 
 
 @dataclass

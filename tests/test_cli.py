@@ -13,7 +13,7 @@ def run_cli(args):
 
 
 def test_parse_config_defaults_echoed(tmp_path):
-    cfg = cli.resolve_config("fig2-bloch-trajectories", {}, tmp_path, 1)
+    cfg = cli.resolve_config("fig2-bloch-trajectories", {}, tmp_path)
     # every schema key is present in the resolved configuration
     for key in ("J", "n0", "gamma", "g", "t_final", "samples", "tolerance"):
         assert key in cfg.values
@@ -38,12 +38,12 @@ def test_reversed_range_rejected(tmp_path):
     with pytest.raises(ConfigError, match="gamma_max"):
         cli.resolve_config("fig1-nonosci-sweep",
                            {"gamma_min": 2.0, "gamma_max": 1.0},
-                           tmp_path, 1)
+                           tmp_path)
 
 
 def test_zero_cutoff_rejected(tmp_path):
     with pytest.raises(ConfigError, match="cutoff"):
-        cli.resolve_config("custom-steady", {"cutoff": 0}, tmp_path, 1)
+        cli.resolve_config("custom-steady", {"cutoff": 0}, tmp_path)
 
 
 def test_comments_and_blank_lines_ok():
@@ -133,3 +133,26 @@ def test_bad_tolerance_flag(tmp_path):
     code = run_cli(["fig1-nonosci-sweep", "--out", tmp_path,
                     "--tolerance", "-1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("custom-propagate", "sample_interval", 0.0),
+    ("custom-propagate", "sample_interval", -0.1),
+    ("custom-propagate", "truncation_ceiling", 0.0),
+    ("custom-steady", "truncation_ceiling", -1e-6),
+    ("fig5-purity-maps", "g_grid_steps", 1),
+])
+def test_out_of_range_value_rejected(tmp_path, scenario, key, value):
+    with pytest.raises(ConfigError, match=key):
+        cli.resolve_config(scenario, {key: value}, tmp_path)
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run_cli([scenario, "--config", cfgf, "--out", out]) == 2
+    assert not out.exists()
+
+
+def test_custom_steady_has_no_method_key(tmp_path):
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("method = bicg\n")
+    assert run_cli(["custom-steady", "--config", cfgf, "--out", tmp_path]) == 2

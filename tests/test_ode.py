@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from gldimer import bbr, fock, liouville, meanfield
 from gldimer.errors import StepUnderflowError
 from gldimer.ode import integrate_dp45
+from gldimer.system import SystemParams
 
 
 def test_exponential_decay():
@@ -84,3 +86,33 @@ def test_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         integrate_dp45(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
                        rtol=0.0, atol=1e-12)
+
+
+def _bbr_run(interval):
+    params = SystemParams(J=1.0, U=0.0, gamma=0.5, n0=2)
+    return bbr.integrate(bbr.pure_state_moments(np.pi / 2, 0.0, 2), 1.0,
+                         params, bbr.FixedU(0.0), sample_interval=interval)
+
+
+def _gpe_run(interval):
+    return meanfield.integrate_gpe(meanfield.state_from_angles(0.0, np.pi / 2),
+                                   1.0, 1.0, 0.0, 0.5,
+                                   sample_interval=interval)
+
+
+def _propagate_run(interval):
+    basis = fock.build_basis(3)
+    return liouville.propagate(
+        fock.fock_density(basis, 0, 0), 1.0,
+        SystemParams(J=1.0, U=0.0, gamma=0.5, n0=2), basis,
+        liouville.PropagationConfig(sample_interval=interval,
+                                    truncation_ceiling=1.0))
+
+
+@pytest.mark.parametrize("run", [_bbr_run, _gpe_run, _propagate_run])
+def test_sample_grid_of_callers(run):
+    assert np.allclose(run(0.25).ts, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(run(0.4).ts, [0.0, 0.4, 0.8, 1.0])
+    for bad in (0.0, -0.5):
+        with pytest.raises(ValueError, match="sample_interval"):
+            run(bad)
