@@ -277,14 +277,18 @@ def run(config: ScenarioConfig) -> RunManifest:
 # scenario implementations
 
 
+def _gamma_grid(config: ScenarioConfig) -> np.ndarray:
+    """gamma_min .. gamma_max (inclusive to half a step) in gamma_step."""
+    return np.arange(config["gamma_min"],
+                     config["gamma_max"] + 0.5 * config["gamma_step"],
+                     config["gamma_step"])
+
+
 def _run_fig1(config: ScenarioConfig, writer: _Writer,
               manifest: RunManifest) -> None:
     J, n0 = config["J"], config["n0"]
-    gammas = np.arange(config["gamma_min"],
-                       config["gamma_max"] + 0.5 * config["gamma_step"],
-                       config["gamma_step"])
     rows = []
-    for gamma in gammas:
+    for gamma in _gamma_grid(config):
         params = SystemParams(J=J, U=0.0, gamma=float(gamma), n0=n0)
         try:
             pair = closedform.nonoscillatory_states(params)
@@ -369,31 +373,20 @@ def _run_fig3(config: ScenarioConfig, writer: _Writer,
     writer.csv("fig3_distributions.csv",
                ("j", "p_site1", "p_site2", "p_total", "p_site_geometric",
                 "p_total_product"), rows)
-    diag_rows = [(int(basis.n1_of[i]), int(basis.n2_of[i]),
-                  np.diagonal(sol.rho).real[i]) for i in range(basis.dim)]
+    diag_rows, summary = steadysolve.steady_outputs(sol, basis)
     writer.csv("fig3_steady_diagonal.csv", steadysolve.DIAGONAL_COLUMNS,
                diag_rows)
-    m = sol.moments
-    writer.json("fig3_steady_summary.json", {
-        "s_x": m.s_x, "s_y": m.s_y, "s_z": m.s_z, "n": m.n,
-        "purity": fock.purity(m),
-        "delta_n": float(np.sqrt(max(m.delta[3, 3], 0.0))),
-        "residual": sol.residual,
-        "truncation_mass": sol.truncation_mass,
-        "eigenvalue_floor": sol.eigenvalue_floor,
-    })
+    writer.json("fig3_steady_summary.json", summary)
     manifest.diagnostics.update(residual=sol.residual, matvecs=sol.matvecs)
 
 
+def _sweep(config: ScenarioConfig, g: float, mode: str):
+    return bbr.sweep_gamma(_gamma_grid(config), float(g), config["n0"], mode,
+                           J=config["J"])
+
+
 def _sweep_rows(config: ScenarioConfig, mode: str):
-    gammas = np.arange(config["gamma_min"],
-                       config["gamma_max"] + 0.5 * config["gamma_step"],
-                       config["gamma_step"])
-    sweeps = []
-    for g in config["g_list"]:
-        sweeps.append(bbr.sweep_gamma(gammas, float(g), config["n0"], mode,
-                                      J=config["J"]))
-    return sweeps
+    return [_sweep(config, g, mode) for g in config["g_list"]]
 
 
 def _run_fig4(config: ScenarioConfig, writer: _Writer,
@@ -406,6 +399,15 @@ def _run_fig4(config: ScenarioConfig, writer: _Writer,
     writer.csv("fig4_steady_components.csv", bbr.SWEEP_COLUMNS, rows)
 
 
+_PURITY_COLUMNS = ("gamma", "g", "P", "exists")
+
+
+def _purity_rows(sweeps):
+    return [(p.gamma, p.g, p.state.purity if p.state else np.nan,
+             1 if p.exists else 0)
+            for sweep in sweeps for p in sweep.points]
+
+
 def _run_fig5(config: ScenarioConfig, writer: _Writer,
               manifest: RunManifest) -> None:
     for mode, curve_name, map_name in (
@@ -413,28 +415,16 @@ def _run_fig5(config: ScenarioConfig, writer: _Writer,
             ("constant-g", "fig5c_purity_constant_g.csv",
              "fig5d_map_constant_g.csv")):
         sweeps = _sweep_rows(config, mode)
-        curve_rows = []
+        writer.csv(curve_name, _PURITY_COLUMNS, _purity_rows(sweeps))
         for sweep in sweeps:
-            for p in sweep.points:
-                curve_rows.append((p.gamma, p.g,
-                                   p.state.purity if p.state else np.nan,
-                                   1 if p.exists else 0))
             manifest.diagnostics[f"boundary_{mode}_g{sweep.g}"] = sweep.boundary
-        writer.csv(curve_name, ("gamma", "g", "P", "exists"), curve_rows)
+        # a grid value equal to a g_list value reuses that curve's sweep
+        by_g = {sweep.g: sweep for sweep in sweeps}
         g_grid = np.linspace(0.0, config["g_grid_max"],
                              config["g_grid_steps"])[1:]  # g = 0 is analytic
-        gammas = np.arange(config["gamma_min"],
-                           config["gamma_max"] + 0.5 * config["gamma_step"],
-                           config["gamma_step"])
-        map_rows = []
-        for g in g_grid:
-            sweep = bbr.sweep_gamma(gammas, float(g), config["n0"], mode,
-                                    J=config["J"])
-            for p in sweep.points:
-                map_rows.append((p.gamma, p.g,
-                                 p.state.purity if p.state else np.nan,
-                                 1 if p.exists else 0))
-        writer.csv(map_name, ("gamma", "g", "P", "exists"), map_rows)
+        writer.csv(map_name, _PURITY_COLUMNS, _purity_rows(
+            by_g[g] if g in by_g else _sweep(config, g, mode)
+            for g in g_grid))
 
 
 def _run_custom_propagate(config: ScenarioConfig, writer: _Writer,
@@ -463,19 +453,9 @@ def _run_custom_steady(config: ScenarioConfig, writer: _Writer,
         residual_tol=min(1e-10, config["tolerance"]),
         truncation_ceiling=config["truncation_ceiling"])
     sol = steadysolve.solve_steady(params, basis, cfg)
-    diag = np.diagonal(sol.rho).real
-    writer.csv("steady_diagonal.csv", steadysolve.DIAGONAL_COLUMNS,
-               [(int(basis.n1_of[i]), int(basis.n2_of[i]), diag[i])
-                for i in range(basis.dim)])
-    m = sol.moments
-    writer.json("steady_summary.json", {
-        "s_x": m.s_x, "s_y": m.s_y, "s_z": m.s_z, "n": m.n,
-        "purity": fock.purity(m),
-        "delta_n": float(np.sqrt(max(m.delta[3, 3], 0.0))),
-        "residual": sol.residual,
-        "truncation_mass": sol.truncation_mass,
-        "eigenvalue_floor": sol.eigenvalue_floor,
-    })
+    diag_rows, summary = steadysolve.steady_outputs(sol, basis)
+    writer.csv("steady_diagonal.csv", steadysolve.DIAGONAL_COLUMNS, diag_rows)
+    writer.json("steady_summary.json", summary)
     manifest.diagnostics.update(residual=sol.residual, matvecs=sol.matvecs)
 
 

@@ -93,17 +93,17 @@ def build_liouvillian(params: SystemParams, basis: TwoModeBasis) -> sp.csr_array
 def apply_liouvillian(rho: np.ndarray, params: SystemParams,
                       basis: TwoModeBasis) -> np.ndarray:
     """Generator applied in matrix form; independent of the superoperator
-    assembly, which makes it suitable for residual verification."""
-    h = fock.hamiltonian(basis, params.J, params.U).toarray()
+    assembly, which makes it suitable for residual verification.  The
+    sparse operators multiply the dense rho directly."""
+    h = fock.hamiltonian(basis, params.J, params.U)
     out = -1j * (h @ rho - rho @ h)
     for op, rate in zip(_jump_ops(params, basis),
                         (params.gamma_loss, params.gamma_gain)):
         if rate == 0.0:
             continue
-        o = op.toarray()
-        od = o.conj().T
-        k = od @ o
-        out += rate * (o @ rho @ od - 0.5 * (k @ rho + rho @ k))
+        od = sp.csr_array(op.conj().T)
+        k = od @ op
+        out += rate * (op @ rho @ od - 0.5 * (k @ rho + rho @ k))
     return out
 
 

@@ -3,12 +3,16 @@
 Solves L(rho) = 0 with Tr rho = 1 on the truncated basis.  The generator
 never couples the number-conserving coherence sector to the rest, and the
 non-degenerate steady state carries no other coherences, so the solve runs
-on that sector's generator.  The singular system is made square by
-overwriting one row (the equation for d rho_00/dt, which is implied by
-trace preservation of the remainder) with the trace-one constraint, and is
-solved directly by a sparse LU factorization, followed by a few steps of
-iterative refinement only if needed.  The residual of the returned state
-is re-verified by an independent application of the full generator in
+on that sector's generator.  There it is block tridiagonal in the total
+particle number N = 0 .. 2*cutoff: sector N couples to itself, receives
+gain from N - 1 and loss from N + 1.  The singular system is made square
+by replacing the equation for d rho_00/dt (implied by trace preservation
+of the rest) with the pin rho_00 = 1, which keeps that structure, and is
+solved by block elimination over the sectors (the matrix-continued-
+fraction method): one dense LU factorization per sector, from the top
+sector down, followed by a few steps of iterative refinement only if
+needed.  The state is then normalized to unit trace, and its residual is
+re-verified by an independent application of the full generator in
 matrix form, never trusted from the solver.
 """
 
@@ -18,8 +22,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fock, liouville
 from .errors import ConvergenceError, TruncationOverflowError
@@ -27,7 +31,7 @@ from .fock import TwoModeBasis
 from .system import SystemParams
 
 DIAGONAL_COLUMNS = ("n1", "n2", "p")
-# iterative-refinement steps x += lu.solve(b - a @ x) allowed after the
+# iterative-refinement steps x += solve(b - a @ x) allowed after the
 # direct solve before the residual is declared out of reach
 MAX_REFINEMENTS = 3
 
@@ -62,20 +66,68 @@ class SteadySolution:
         return self
 
 
-def _replace_trace_row(gen: sp.csr_array, diag_positions: np.ndarray):
-    """Overwrite the row for the first diagonal element (implied by trace
-    preservation of the rest) with the trace-one constraint."""
-    coo = sp.coo_array(gen)
-    keep = coo.row != 0
-    rows = np.concatenate((coo.row[keep], np.zeros(len(diag_positions),
-                                                   dtype=coo.row.dtype)))
-    cols = np.concatenate((coo.col[keep], diag_positions))
-    vals = np.concatenate((coo.data[keep],
-                           np.ones(len(diag_positions), dtype=complex)))
-    a = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=gen.shape))
-    b = np.zeros(gen.shape[0], dtype=complex)
-    b[0] = 1.0
-    return a, b
+def _sector_eliminator(gen: sp.csr_array, offsets: np.ndarray):
+    """Factor the pinned system a (gen with its first row replaced by
+    x_0 = b_0) by block elimination over the number sectors, whose packed
+    ranges are offsets[N]:offsets[N + 1], and return solve(b) for
+    a @ x = b.  Sector 0 holds rho_00 alone.
+
+    With A_N, G_N and L_N the blocks of sector N's rows in the columns of
+    sectors N, N - 1 and N + 1, the backward sweep forms
+    M_N = A_N + L_N S_{N+1} with S_N = -M_N^{-1} G_N from M_top = A_top
+    down and keeps only the LU factors of the M_N.  Raises
+    ConvergenceError naming the sector whose factor or solution is not
+    finite or singular."""
+    top = len(offsets) - 2
+    rows = [gen[offsets[n]:offsets[n + 1]] for n in range(top + 1)]
+
+    def block(n, m):
+        return rows[n][:, offsets[m]:offsets[m + 1]]
+
+    gains = [None] + [block(n, n - 1) for n in range(1, top + 1)]
+    losses = [None] + [block(n, n + 1) for n in range(1, top)]
+    factors = [None] * (top + 1)
+    s_next = None
+    for n in range(top, 0, -1):
+        m = block(n, n).toarray()
+        if s_next is not None:
+            m += losses[n] @ s_next
+        lu, piv = sla.lu_factor(m, overwrite_a=True, check_finite=False)
+        if not (np.all(np.isfinite(lu)) and np.all(np.diagonal(lu))):
+            raise ConvergenceError(
+                f"steady-state solve: sector N = {n} block is singular "
+                "or not finite")
+        factors[n] = (lu, piv)
+        if n > 1:
+            s_next = -sla.lu_solve(factors[n], gains[n].toarray(),
+                                   check_finite=False)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        c = [b[:1]] + [None] * top
+        for n in range(top, 0, -1):
+            r = b[offsets[n]:offsets[n + 1]]
+            if n < top:
+                r = r - losses[n] @ c[n + 1]
+            c[n] = sla.lu_solve(factors[n], r, check_finite=False)
+        x = [c[0]]
+        for n in range(1, top + 1):
+            x.append(c[n] - sla.lu_solve(factors[n], gains[n] @ x[n - 1],
+                                         check_finite=False))
+            if not np.all(np.isfinite(x[n])):
+                raise ConvergenceError(
+                    f"steady-state solve: sector N = {n} solution is not "
+                    "finite")
+        return np.concatenate(x)
+
+    return solve
+
+
+def _pinned_residual(gen: sp.csr_array, x: np.ndarray) -> np.ndarray:
+    """b - a @ x for the pinned system: b = e_0, a = gen with its first
+    row replaced by e_0."""
+    r = -(gen @ x)
+    r[0] = 1.0 - x[0]
+    return r
 
 
 def solve_steady(params: SystemParams, basis: TwoModeBasis,
@@ -89,15 +141,16 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
             "Hamiltonian eigenprojectors is stationary")
     t0 = time.monotonic()
     space = liouville.number_block_space(basis)
-    a, b = _replace_trace_row(
-        liouville.build_number_block_generator(params, basis),
-        space.diag_positions)
-    lu = spla.splu(sp.csc_matrix(a))
-    x = lu.solve(b)
+    gen = liouville.build_number_block_generator(params, basis)
+    solve = _sector_eliminator(gen, space.offsets)
+    b = np.zeros(space.size, dtype=complex)
+    b[0] = 1.0
+    x = solve(b)
     matvecs = 0
     while True:
         rho, adjustments, floor = _post_process(
-            liouville.unpack_block(x, space), config)
+            liouville.unpack_block(x / x[space.diag_positions].sum(), space),
+            config, space.sectors)
         residual = float(np.max(np.abs(
             liouville.apply_liouvillian(rho, params, basis))))
         if residual < config.residual_tol:
@@ -107,7 +160,7 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
                 f"steady-state solve stalled: achieved residual "
                 f"{residual:.3e} (tolerance {config.residual_tol:.3e}) "
                 f"after {matvecs} refinement steps")
-        x = x + lu.solve(b - a @ x)
+        x = x + solve(_pinned_residual(gen, x))
         matvecs += 1
 
     mass = fock.truncation_mass(rho, basis)
@@ -125,19 +178,27 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
     return sol.attach_moments(basis)
 
 
-def _post_process(rho_raw: np.ndarray, config: SteadySolveConfig):
+def _post_process(rho_raw: np.ndarray, config: SteadySolveConfig,
+                  sectors=None):
     """Hermitize, clip negligible negative eigenvalues, renormalize;
     every adjustment is recorded.  Also returns the smallest eigenvalue
-    of the hermitized state before clipping."""
+    of the hermitized state before clipping.  `sectors` lists index sets
+    outside of whose diagonal blocks rho_raw vanishes; each block is
+    diagonalized on its own (default: the whole matrix as one block)."""
     rho = 0.5 * (rho_raw + rho_raw.conj().T)
     herm_delta = float(np.max(np.abs(rho - rho_raw)))
-    evals, evecs = np.linalg.eigh(rho)
-    floor = float(evals.min())
-    clip_mask = (evals < 0) & (evals > -config.clip_floor)
-    clipped = float(-evals[clip_mask].sum())
-    if clip_mask.any():
-        evals = np.where(clip_mask, 0.0, evals)
-        rho = (evecs * evals) @ evecs.conj().T
+    if sectors is None:
+        sectors = (np.arange(len(rho)),)
+    floor, clipped = np.inf, 0.0
+    for sec in sectors:
+        blk = np.ix_(sec, sec)
+        evals, evecs = np.linalg.eigh(rho[blk])
+        floor = min(floor, float(evals.min()))
+        clip_mask = (evals < 0) & (evals > -config.clip_floor)
+        if clip_mask.any():
+            clipped -= float(evals[clip_mask].sum())
+            evals = np.where(clip_mask, 0.0, evals)
+            rho[blk] = (evecs * evals) @ evecs.conj().T
     tr = np.trace(rho).real
     rho = rho / tr
     return rho, {
@@ -240,23 +301,32 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
                            perturbation_scale=perturbation_scale)
 
 
-def export_steady_state(sol: SteadySolution, basis: TwoModeBasis,
-                        csv_path, json_path) -> None:
-    """Full diagonal as CSV plus a JSON summary."""
-    from .io import write_csv, write_json
-
+def steady_outputs(sol: SteadySolution, basis: TwoModeBasis):
+    """The (n1, n2, p) rows of the diagonal (DIAGONAL_COLUMNS) and the
+    summary payload of a steady state."""
     diag = np.diagonal(sol.rho).real
     rows = [(int(basis.n1_of[i]), int(basis.n2_of[i]), diag[i])
             for i in range(basis.dim)]
-    write_csv(csv_path, DIAGONAL_COLUMNS, rows)
     m = sol.moments
-    write_json(json_path, {
+    return rows, {
         "s_x": m.s_x, "s_y": m.s_y, "s_z": m.s_z, "n": m.n,
         "purity": fock.purity(m),
         "delta_n": float(np.sqrt(max(m.delta[3, 3], 0.0))),
         "residual": sol.residual,
         "truncation_mass": sol.truncation_mass,
         "eigenvalue_floor": sol.eigenvalue_floor,
+    }
+
+
+def export_steady_state(sol: SteadySolution, basis: TwoModeBasis,
+                        csv_path, json_path) -> None:
+    """Full diagonal as CSV plus a JSON summary."""
+    from .io import write_csv, write_json
+
+    rows, summary = steady_outputs(sol, basis)
+    write_csv(csv_path, DIAGONAL_COLUMNS, rows)
+    write_json(json_path, {
+        **summary,
         "matvecs": sol.matvecs,
         "adjustments": sol.adjustments,
         "wall_time_s": sol.wall_time,

@@ -156,3 +156,30 @@ def test_custom_steady_has_no_method_key(tmp_path):
     cfgf = tmp_path / "c.cfg"
     cfgf.write_text("method = bicg\n")
     assert run_cli(["custom-steady", "--config", cfgf, "--out", tmp_path]) == 2
+
+
+def test_fig5_map_reuses_curve_sweeps(tmp_path, monkeypatch):
+    # grid values equal to a g_list value reuse that curve's sweep; the
+    # map CSVs equal those of a run whose g_list shares no grid value
+    calls = []
+    sweep_gamma = cli.bbr.sweep_gamma
+
+    def counted(gammas, g, *args, **kwargs):
+        calls.append(g)
+        return sweep_gamma(gammas, g, *args, **kwargs)
+    monkeypatch.setattr(cli.bbr, "sweep_gamma", counted)
+    base = ("n0 = 20\ngamma_min = 0.1\ngamma_max = 1.0\ngamma_step = 0.1\n"
+            "g_grid_max = 0.5\ng_grid_steps = 3\n")  # grid 0.25, 0.5
+    maps = []
+    for name, g_list, n_calls in (("shared", "0.25 0.5", 2 * 2),
+                                  ("disjoint", "0.3", 2 * (1 + 2))):
+        cfgf = tmp_path / f"{name}.cfg"
+        cfgf.write_text(base + f"g_list = {g_list}\n")
+        calls.clear()
+        out = tmp_path / name
+        assert run_cli(["fig5-purity-maps", "--config", cfgf,
+                        "--out", out]) == 0
+        assert len(calls) == n_calls
+        maps.append([(out / f).read_bytes() for f in
+                     ("fig5b_map_fixed_u.csv", "fig5d_map_constant_g.csv")])
+    assert maps[0] == maps[1]

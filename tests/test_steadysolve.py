@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from gldimer import closedform as cf, fock, liouville, steadysolve
 from gldimer.errors import ConvergenceError, TruncationOverflowError
@@ -53,6 +55,75 @@ def test_reduction_routes_agree():
     assert np.max(np.abs(lv @ sol.rho.ravel(order="F"))) < 1e-10
 
 
+@pytest.mark.parametrize("g, gamma", [(0.0, 0.5), (0.5, 0.5), (0.3, 3.0),
+                                      (2.0, 1.9)])
+def test_matches_dense_null_vector(g, gamma):
+    # reference: null vector of the dense full superoperator by shifted
+    # inverse iteration, independent of the sector structure and the pin
+    basis = fock.build_basis(6)
+    params = SystemParams.from_g(g=g, gamma=gamma, n0=5)
+    sol = steadysolve.solve_steady(
+        params, basis, steadysolve.SteadySolveConfig(truncation_ceiling=1.0))
+    lv = liouville.build_liouvillian(params, basis).toarray()
+    lu = sla.lu_factor(lv - 1e-9 * np.eye(len(lv)))
+    v = np.ones(len(lv), dtype=complex)
+    for _ in range(3):
+        v = sla.lu_solve(lu, v)
+        v /= np.linalg.norm(v)
+    ref = v.reshape((basis.dim,) * 2, order="F")
+    ref = ref / np.trace(ref)
+    assert steadysolve.trace_distance(sol.rho, ref) < 1e-10
+
+
+def test_sector_eliminator_solves_pinned_system():
+    # general right-hand sides, as in the refinement steps, against the
+    # assembled pinned system (first row replaced by x_0 = b_0)
+    basis = fock.build_basis(5)
+    params = SystemParams.from_g(g=0.7, gamma=0.8, n0=3)
+    space = liouville.number_block_space(basis)
+    gen = liouville.build_number_block_generator(params, basis)
+    a = sp.lil_array(gen)
+    a[0, :] = 0.0
+    a[0, 0] = 1.0
+    a = sp.csr_array(a)
+    solve = steadysolve._sector_eliminator(gen, space.offsets)
+    rng = np.random.default_rng(5)
+    b = rng.normal(size=space.size) + 1j * rng.normal(size=space.size)
+    x = solve(b)
+    assert np.max(np.abs(a @ x - b)) < 1e-10 * np.max(np.abs(b))
+    assert np.allclose(steadysolve._pinned_residual(gen, x),
+                       np.eye(space.size)[0] - a @ x, atol=1e-12)
+
+
+def _generator_with_block(basis, params, rows_sector, cols_sector, value):
+    space = liouville.number_block_space(basis)
+    gen = sp.lil_array(liouville.build_number_block_generator(params, basis))
+    off = space.offsets
+    gen[off[rows_sector]:off[rows_sector + 1],
+        off[cols_sector]:off[cols_sector + 1]] = value
+    return sp.csr_array(gen)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("rows_sector, cols_sector, value, message", [
+    (8, 8, 0.0, "sector N = 8 block is singular"),      # top block zeroed
+    (3, 3, np.nan, "sector N = 3 block is singular or not finite"),
+    (1, 0, np.nan, "sector N = 1 solution is not finite"),  # gain 0 -> 1
+])
+def test_bad_sector_block_fails_closed(monkeypatch, rows_sector, cols_sector,
+                                       value, message):
+    basis = fock.build_basis(4)
+    params = SystemParams.from_g(g=0.5, gamma=0.5, n0=2)
+    gen = _generator_with_block(basis, params, rows_sector, cols_sector,
+                                value)
+    monkeypatch.setattr(liouville, "build_number_block_generator",
+                        lambda *_args: gen)
+    with pytest.raises(ConvergenceError, match=message):
+        steadysolve.solve_steady(
+            params, basis,
+            steadysolve.SteadySolveConfig(truncation_ceiling=1.0))
+
+
 def test_truncation_overflow_raises():
     basis = fock.build_basis(8)
     params = SystemParams(J=1.0, U=0.0, gamma=0.5, n0=5)  # heavy tail
@@ -85,6 +156,32 @@ def test_eigenvalue_floor_is_taken_before_clipping():
     assert adjustments["clipped_negative_mass"] == pytest.approx(
         1e-12, abs=1e-15)
     assert np.linalg.eigvalsh(clipped).min() > -1e-15
+
+
+def test_post_process_per_sector_matches_whole_matrix():
+    # block-diagonal state on interleaved index sets, one sector carrying
+    # a -1e-12 eigenvalue: per-sector diagonalization gives the same state,
+    # floor and adjustments as one whole-matrix eigh
+    rng = np.random.default_rng(4)
+    sectors = (np.array([0, 3]), np.array([1, 4, 5]), np.array([2]))
+    spectra = ([0.3, 0.1], [0.35, 0.15 + 1e-12, -1e-12], [0.1])
+    rho = np.zeros((6, 6), dtype=complex)
+    for sec, evals in zip(sectors, spectra):
+        d = len(sec)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d))
+                            + 1j * rng.normal(size=(d, d)))
+        rho[np.ix_(sec, sec)] = (q * np.array(evals)) @ q.conj().T
+    cfg = steadysolve.SteadySolveConfig()
+    whole, adj_whole, floor_whole = steadysolve._post_process(rho, cfg)
+    split, adj_split, floor_split = steadysolve._post_process(rho, cfg,
+                                                              sectors)
+    assert floor_split == pytest.approx(-1e-12, abs=1e-15)
+    assert floor_split == pytest.approx(floor_whole, abs=1e-15)
+    for key in adj_whole:
+        assert adj_split[key] == pytest.approx(adj_whole[key], abs=1e-15)
+    assert adj_split["clipped_negative_mass"] == pytest.approx(1e-12,
+                                                               abs=1e-15)
+    assert np.max(np.abs(split - whole)) < 1e-14
 
 
 def test_marginals_close_to_geometric(fig3_params, basis24, fig3_steady):
