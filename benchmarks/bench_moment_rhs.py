@@ -1,8 +1,9 @@
 """Benchmark: compiled moment-equation kernel vs the pure-Python fallback.
 
 The kernel is the hot inner loop of the steady-state root searches and
-parameter sweeps (one call per residual evaluation, 15 per finite-
-difference Jacobian, hundreds of thousands per sweep).  Run with
+parameter sweeps: one call per residual evaluation, and 14 per Newton
+step for the finite-difference Jacobian, which reuses the residual at the
+base point; hundreds of thousands per sweep.  Run with
 
     python benchmarks/bench_moment_rhs.py
 """

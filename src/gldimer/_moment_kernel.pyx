@@ -7,9 +7,10 @@ Generated by tools/derive_moment_rhs.py; do not edit by hand.
 COMPILED = True
 
 
-def moment_rhs(double[::1] y, double J, double U, double gamma_gain,
-               double gamma_loss, double[::1] out):
-    """Same contract as the pure-Python kernel; fills and returns
+def moment_rhs(y, double J, double U, double gamma_gain,
+               double gamma_loss, out):
+    """Same contract as the pure-Python kernel (y any 14-number
+    sequence, out any mutable 14-slot sequence); fills and returns
     the preallocated out buffer."""
     cdef double gg = gamma_gain
     cdef double gl = gamma_loss

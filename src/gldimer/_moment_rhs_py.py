@@ -12,25 +12,19 @@ COMPILED = False
 def moment_rhs(y, J, U, gamma_gain, gamma_loss, out=None):
     """Time derivative of the 14-component moment vector
     (s_x, s_y, s_z, n, D_xx, D_xy, D_xz, D_xn, D_yy, D_yz, D_yn,
-    D_zz, D_zn, D_nn)."""
+    D_zz, D_zn, D_nn).
+
+    y is any sequence of 14 numbers (an ndarray is unpacked to Python
+    floats first, so the arithmetic runs on floats, not numpy
+    scalars); out is any mutable 14-slot sequence, a new array when
+    omitted.  Returns out."""
     if out is None:
         out = np.empty(14)
+    if isinstance(y, np.ndarray):
+        y = y.tolist()
     gg = gamma_gain
     gl = gamma_loss
-    sx = y[0]
-    sy = y[1]
-    sz = y[2]
-    n = y[3]
-    Dxx = y[4]
-    Dxy = y[5]
-    Dxz = y[6]
-    Dxn = y[7]
-    Dyy = y[8]
-    Dyz = y[9]
-    Dyn = y[10]
-    Dzz = y[11]
-    Dzn = y[12]
-    Dnn = y[13]
+    sx, sy, sz, n, Dxx, Dxy, Dxz, Dxn, Dyy, Dyz, Dyn, Dzz, Dzn, Dnn = y
     x0 = 2*U
     x1 = Dyz*x0
     x2 = (0.5)*gl

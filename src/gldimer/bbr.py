@@ -15,11 +15,18 @@ Two interaction modes exist:
   as n approaches 1 and is treated as a hard error there.
 
 The kernel is the compiled extension when available; set
-GLDIMER_PURE_PYTHON=1 to force the pure-Python fallback.
+GLDIMER_PURE_PYTHON=1 to force the pure-Python fallback.  Either kernel
+takes any sequence of 14 floats and writes into any mutable 14-slot
+`out`.  The steady-state root search holds its iterate, residuals and
+Newton steps as lists of Python floats and calls the kernel with them:
+the same IEEE operations in the same order as on numpy scalars, so the
+results are bit for bit those of the array form, at about a third of the
+cost per evaluation.  Only the Jacobian solve uses numpy.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -47,6 +54,7 @@ SWEEP_COLUMNS = ("gamma", "g", "exists", "s_x", "s_y", "s_z", "n", "P",
                  "Delta_n")
 
 _N_SINGULAR = 1.0 + 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,7 @@ class MomentState:
         return cls(s=np.array(y[:3]), n=float(y[3]), delta=d)
 
 
-def _resolve_u(y: np.ndarray, mode: BbrMode) -> float:
+def _resolve_u(y, mode: BbrMode) -> float:
     if isinstance(mode, FixedU):
         return mode.u
     n = y[3]
@@ -111,14 +119,19 @@ def _resolve_u(y: np.ndarray, mode: BbrMode) -> float:
     return mode.g / (n - 1.0)
 
 
-def moment_rhs(y, params: SystemParams, mode: BbrMode,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Time derivative of the 14-component moment vector."""
-    y = np.ascontiguousarray(y, dtype=float)
+def moment_rhs(y, params: SystemParams, mode: BbrMode, out=None):
+    """Time derivative of the 14-component moment vector.
+
+    y is any sequence of 14 floats (list or ndarray); the derivative is
+    written into out, any mutable 14-slot sequence (a new array when
+    omitted), which is returned.  The parameters reach the kernel as
+    Python floats, so no numpy scalar pulls its arithmetic back onto
+    numpy."""
     if out is None:
         out = np.empty(14)
     u = _resolve_u(y, mode)
-    _kernel.moment_rhs(y, params.J, u, params.gamma_gain, params.gamma_loss,
+    _kernel.moment_rhs(y, float(params.J), float(u),
+                       float(params.gamma_gain), float(params.gamma_loss),
                        out)
     return out
 
@@ -204,7 +217,7 @@ class RootResult:
         return self.converged and self.physical
 
 
-def _classify(y: np.ndarray) -> bool:
+def _classify(y) -> bool:
     state = MomentState.from_vector(y)
     if state.n <= 0:
         return False
@@ -215,17 +228,45 @@ def _classify(y: np.ndarray) -> bool:
     return True
 
 
-def _fd_jacobian(fun, y, f0):
-    jac = np.empty((14, 14))
-    for i in range(14):
+def _max_abs(v) -> float:
+    """Infinity norm of a float sequence, NaN if any entry is NaN (as
+    np.max(np.abs(v)))."""
+    if any(map(math.isnan, v)):
+        return math.nan
+    return max(map(abs, v))
+
+
+def _guarded_rhs(params: SystemParams, mode: BbrMode):
+    """The residual function of the root search: the moment derivative as
+    a list, or 1e6 in every component where constant g makes U = g/(n-1)
+    singular (the search then steps away from n = 1)."""
+
+    def fun(y):
+        out = [0.0] * 14
+        try:
+            moment_rhs(y, params, mode, out)
+        except InteractionSingularityError:
+            return [1e6] * 14
+        return out
+
+    return fun
+
+
+def _fd_jacobian(fun, y, f0) -> np.ndarray:
+    """Forward-difference Jacobian of fun at the float list y, f0 = fun(y).
+
+    Column i is (fun(y + h e_i) - f0) / h with h = 1e-6 max(|y_i|, 1),
+    formed on floats in the order the array expression would use."""
+    cols = []
+    for i in range(len(y)):
         h = 1e-6 * max(abs(y[i]), 1.0)
-        yp = y.copy()
+        yp = list(y)
         yp[i] += h
-        jac[:, i] = (fun(yp) - f0) / h
-    return jac
+        cols.append([(a - b) / h for a, b in zip(fun(yp), f0)])
+    return np.array(cols).T
 
 
-def _residual_floor(y: np.ndarray, params: SystemParams) -> float:
+def _residual_floor(y, params: SystemParams) -> float:
     """Rounding floor of a single right-hand-side evaluation.
 
     Covariance components combine terms of magnitude up to about
@@ -233,8 +274,8 @@ def _residual_floor(y: np.ndarray, params: SystemParams) -> float:
     a small multiple of eps times that scale, which near existence
     boundaries (particle numbers in the thousands) exceeds any fixed
     absolute tolerance."""
-    scale = max(1.0, params.J, params.gamma) * max(1.0, float(np.max(np.abs(y))))
-    return 50 * np.finfo(float).eps * scale
+    scale = max(1.0, params.J, params.gamma) * max(1.0, _max_abs(y))
+    return 50 * _EPS * scale
 
 
 def steady_root_search(params: SystemParams, mode: BbrMode,
@@ -250,42 +291,42 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
     classified physical iff its purity is <= 1 + 1e-8 and all covariance
     diagonals are >= -1e-8; unphysical roots are reported distinctly
     (converged=True, physical=False).
-    """
 
-    def fun(y):
-        try:
-            return moment_rhs(y, params, mode)
-        except InteractionSingularityError:
-            return np.full(14, 1e6)
+    The iterate, residuals and steps are lists of floats (never modified
+    in place, so they are shared rather than copied); numpy only solves
+    the Newton system.
+    """
+    fun = _guarded_rhs(params, mode)
 
     def tol_at(y):
         return max(residual_tol, _residual_floor(y, params))
 
-    y = initial_guess.vector.astype(float)
+    y = initial_guess.vector.tolist()
     f = fun(y)
-    best_y, best_norm = y.copy(), float(np.max(np.abs(f)))
+    best_y, best_norm = y, _max_abs(f)
     iterations = 0
     stall = 0
     for iterations in range(1, max_iterations + 1):
-        norm = float(np.max(np.abs(f)))
+        norm = _max_abs(f)
         if norm < tol_at(y):
             break
         jac = _fd_jacobian(fun, y, f)
+        neg_f = -np.array(f)
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(jac, neg_f).tolist()
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+            step = np.linalg.lstsq(jac, neg_f, rcond=None)[0].tolist()
         improved = False
         for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-            y_new = y + lam * step
+            y_new = [a + lam * b for a, b in zip(y, step)]
             f_new = fun(y_new)
-            if np.max(np.abs(f_new)) < norm:
+            if _max_abs(f_new) < norm:
                 y, f = y_new, f_new
                 improved = True
                 break
-        new_norm = float(np.max(np.abs(f)))
+        new_norm = _max_abs(f)
         if new_norm < best_norm:
-            best_y, best_norm = y.copy(), new_norm
+            best_y, best_norm = y, new_norm
         if not improved or new_norm > 0.9 * norm:
             stall += 1
         else:
@@ -294,14 +335,15 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
             sol = scipy.optimize.root(fun, best_y, method="hybr",
                                       options={"xtol": 1e-13})
             if sol.success:
-                y, f = sol.x, fun(sol.x)
-                if float(np.max(np.abs(f))) < best_norm:
-                    best_y, best_norm = y.copy(), float(np.max(np.abs(f)))
+                y = sol.x.tolist()
+                f = fun(y)
+                if _max_abs(f) < best_norm:
+                    best_y, best_norm = y, _max_abs(f)
             stall = 0
-            if float(np.max(np.abs(f))) >= norm:
+            if _max_abs(f) >= norm:
                 break  # no further progress available
 
-    residual = float(np.max(np.abs(fun(best_y))))
+    residual = _max_abs(fun(best_y))
     if residual >= tol_at(best_y):
         return RootResult(state=None, converged=False, physical=False,
                           residual=residual, iterations=iterations)
@@ -370,24 +412,16 @@ def _seeded_root(params, mode, guess, residual_tol):
     if res.found:
         return res
     # continuation in the interaction from the analytic anchor
-    if isinstance(mode, FixedU) and mode.u != 0.0:
-        state = u0_steady_guess(params)
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            res = steady_root_search(params, FixedU(mode.u * frac), state,
-                                     residual_tol=residual_tol)
-            if not res.found:
-                return res
-            state = res.state
+    strength = mode.u if isinstance(mode, FixedU) else mode.g
+    if strength == 0.0:
         return res
-    if isinstance(mode, ConstantG) and mode.g != 0.0:
-        state = u0_steady_guess(params)
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            res = steady_root_search(params, ConstantG(mode.g * frac), state,
-                                     residual_tol=residual_tol)
-            if not res.found:
-                return res
-            state = res.state
-        return res
+    state = u0_steady_guess(params)
+    for frac in (0.25, 0.5, 0.75, 1.0):
+        res = steady_root_search(params, type(mode)(strength * frac), state,
+                                 residual_tol=residual_tol)
+        if not res.found:
+            return res
+        state = res.state
     return res
 
 

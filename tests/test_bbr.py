@@ -1,3 +1,8 @@
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +28,132 @@ def test_kernel_implementations_agree():
         a = ck.moment_rhs(y, 1.1, 0.3, 0.45, 0.6, np.empty(14))
         b = pk.moment_rhs(y, 1.1, 0.3, 0.45, 0.6, np.empty(14))
         assert np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+MODES = (bbr.FixedU(0.3), bbr.ConstantG(0.5))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_moment_rhs_list_and_array_agree_bitwise(mode):
+    from gldimer import _moment_rhs_py as pk
+
+    rng = np.random.default_rng(3)
+    params = SystemParams(J=1.1, U=0.3, gamma=0.6, n0=7)
+    for _ in range(50):
+        y = rng.normal(scale=40, size=14)
+        y[3] = 2.0 + abs(y[3])
+        ref = bbr.moment_rhs(y, params, mode)
+        for yy in (y, y.tolist()):
+            for out in (np.empty(14), [0.0] * 14):
+                got = bbr.moment_rhs(yy, params, mode, out)
+                assert got is out
+                assert _bits(got) == _bits(ref)
+        # the kernel on numpy scalars (the array element type) gives the
+        # same bits as on Python floats
+        u = mode.u if isinstance(mode, bbr.FixedU) else mode.g / (y[3] - 1.0)
+        scalars = pk.moment_rhs(list(y), np.float64(params.J), np.float64(u),
+                                np.float64(params.gamma_gain),
+                                np.float64(params.gamma_loss), [0.0] * 14)
+        assert _bits(scalars) == _bits(ref)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fd_jacobian_matches_array_forward_difference(mode):
+    params = SystemParams.from_g(g=0.5, gamma=0.8, n0=20)
+    y = bbr.u0_steady_guess(params).vector
+    y[0] += 0.37    # make every component distinct from the anchor
+    f0 = bbr.moment_rhs(y, params, mode)
+    ref = np.empty((14, 14))
+    for i in range(14):
+        h = 1e-6 * max(abs(y[i]), 1.0)
+        yp = y.copy()
+        yp[i] += h
+        ref[:, i] = (bbr.moment_rhs(yp, params, mode) - f0) / h
+    fun = bbr._guarded_rhs(params, mode)
+    jac = bbr._fd_jacobian(fun, y.tolist(), fun(y.tolist()))
+    assert jac.shape == (14, 14)
+    assert _bits(np.ascontiguousarray(jac)) == _bits(ref)
+
+
+def test_constant_g_kernel_receives_python_floats(monkeypatch):
+    seen = []
+    kernel = bbr._kernel.moment_rhs
+
+    def spy(y, J, U, gamma_gain, gamma_loss, out):
+        seen.append((J, U, gamma_gain, gamma_loss))
+        return kernel(y, J, U, gamma_gain, gamma_loss, out)
+
+    monkeypatch.setattr(bbr._kernel, "moment_rhs", spy)
+    params = SystemParams.from_g(g=np.float64(0.5), gamma=np.float64(0.6),
+                                 n0=20)
+    y = bbr.pure_state_moments(1.0, 0.3, 20).vector
+    bbr.moment_rhs(y, params, bbr.ConstantG(np.float64(0.5)))
+    bbr.moment_rhs(y, params, bbr.FixedU(np.float64(params.U)))
+    assert len(seen) == 2
+    assert all(type(v) is float for args in seen for v in args)
+
+
+def test_fd_column_crossing_singularity_keeps_sentinel():
+    # base point just inside the constant-g singular band: the residual is
+    # the 1e6 sentinel; only the n column steps out of the band
+    params = SystemParams(J=1.0, U=0.0, gamma=0.1, n0=2)
+    mode = bbr.ConstantG(0.5)
+    y = bbr.MomentState(s=np.array([0.5, 0.0, 0.0]), n=1.0 + 0.5e-6,
+                        delta=np.eye(4)).vector
+    fun = bbr._guarded_rhs(params, mode)
+    f0 = fun(y.tolist())
+    assert f0 == [1e6] * 14
+    jac = bbr._fd_jacobian(fun, y.tolist(), f0)
+    h = 1e-6 * max(abs(y[3]), 1.0)
+    assert y[3] + h > bbr._N_SINGULAR
+    yp = y.copy()
+    yp[3] += h
+    col = (bbr.moment_rhs(yp, params, mode) - np.full(14, 1e6)) / h
+    assert _bits(jac[:, 3]) == _bits(col)
+    assert not np.any(np.delete(jac, 3, axis=1))
+    # an ndarray input (as the hybr fallback passes) gets the same sentinel
+    assert fun(y) == [1e6] * 14
+
+
+def test_max_abs_propagates_nan_like_numpy():
+    for v in ([1.0, -3.0, 2.0], [math.nan, 1.0], [1.0, math.nan],
+              [math.inf, -math.inf], [-0.0, 0.0]):
+        got = bbr._max_abs(v)
+        assert type(got) is float
+        assert np.array_equal(got, np.max(np.abs(v)), equal_nan=True)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_seeded_root_continues_in_the_interaction_of_either_mode(
+        monkeypatch, mode):
+    calls = []
+
+    def fake_search(params, m, guess, residual_tol):
+        calls.append(m)
+        state = bbr.u0_steady_guess(params)
+        return bbr.RootResult(state=state, converged=True,
+                              physical=len(calls) > 1, residual=0.0,
+                              iterations=1)
+
+    monkeypatch.setattr(bbr, "steady_root_search", fake_search)
+    params = SystemParams.from_g(g=0.5, gamma=0.8, n0=20)
+    res = bbr._seeded_root(params, mode, bbr.u0_steady_guess(params), 1e-9)
+    assert res.found
+    strength = mode.u if isinstance(mode, bbr.FixedU) else mode.g
+    assert calls == [mode] + [type(mode)(strength * f)
+                              for f in (0.25, 0.5, 0.75, 1.0)]
+
+
+def test_generated_kernels_match_the_derivation():
+    pytest.importorskip("sympy")
+    tool = Path(__file__).resolve().parents[1] / "tools" / "derive_moment_rhs.py"
+    proc = subprocess.run([sys.executable, str(tool), "--check"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_pure_state_moments_examples():

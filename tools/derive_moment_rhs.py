@@ -31,10 +31,16 @@ The script verifies symbolically, before writing anything, that
  * the factorization only ever enters through terms proportional to U,
  * every emitted expression is real, and
  * at U = 0 every covariance equation is linear in the state.
+
+Run it from anywhere as
+
+    python tools/derive_moment_rhs.py           # rewrite the three files
+    python tools/derive_moment_rhs.py --check   # exit 1 if any is stale
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from fractions import Fraction
 from math import comb, factorial
@@ -245,7 +251,8 @@ A_POLY = {
 }
 
 
-def main():
+def derive() -> dict[str, str]:
+    """Derive and gate the equations; return {file name: source text}."""
     red = Reducer()
 
     # first moments: no factorization may occur
@@ -329,7 +336,7 @@ def main():
     for (j, k) in pair_keys:
         order.append((f"D{NAMES[j]}{NAMES[k]}", d_delta[(j, k)]))
 
-    emit(order, defects, pair_keys)
+    return render_files(order, defects, pair_keys)
 
 
 _HEADER_VARS = ["sx", "sy", "sz", "n", "Dxx", "Dxy", "Dxz", "Dxn",
@@ -355,8 +362,7 @@ def _code(expr) -> str:
     return _FloatRationalPrinter().doprint(expr)
 
 
-def emit(order, defects, pair_keys):
-    root = Path(__file__).resolve().parents[1] / "src" / "gldimer"
+def render_files(order, defects, pair_keys) -> dict[str, str]:
     exprs = [e for _, e in order]
     subs_list, reduced = sp.cse(exprs, optimizations="basic")
 
@@ -367,8 +373,6 @@ def emit(order, defects, pair_keys):
         for i, e in enumerate(reduced):
             body.append(f"{indent}out[{i}] = {_code(e)}")
         return lines + body
-
-    unpack = [f"{name} = y[{i}]" for i, name in enumerate(_HEADER_VARS)]
 
     py_lines = [
         '"""Closed equations of motion for the first and second Bloch moments',
@@ -385,16 +389,22 @@ def emit(order, defects, pair_keys):
         "def moment_rhs(y, J, U, gamma_gain, gamma_loss, out=None):",
         '    """Time derivative of the 14-component moment vector',
         "    (s_x, s_y, s_z, n, D_xx, D_xy, D_xz, D_xn, D_yy, D_yz, D_yn,",
-        '    D_zz, D_zn, D_nn)."""',
+        "    D_zz, D_zn, D_nn).",
+        "",
+        "    y is any sequence of 14 numbers (an ndarray is unpacked to Python",
+        "    floats first, so the arithmetic runs on floats, not numpy",
+        "    scalars); out is any mutable 14-slot sequence, a new array when",
+        '    omitted.  Returns out."""',
         "    if out is None:",
         "        out = np.empty(14)",
+        "    if isinstance(y, np.ndarray):",
+        "        y = y.tolist()",
         "    gg = gamma_gain",
         "    gl = gamma_loss",
+        f"    {', '.join(_HEADER_VARS)} = y",
     ]
-    py_lines += [f"    {u}" for u in unpack]
     py_lines = render(py_lines, "")
     py_lines.append("    return out")
-    (root / "_moment_rhs_py.py").write_text("\n".join(py_lines) + "\n")
 
     cy_lines = [
         "# cython: boundscheck=False, wraparound=False, cdivision=True",
@@ -406,20 +416,21 @@ def emit(order, defects, pair_keys):
         "COMPILED = True",
         "",
         "",
-        "def moment_rhs(double[::1] y, double J, double U, double gamma_gain,",
-        "               double gamma_loss, double[::1] out):",
-        '    """Same contract as the pure-Python kernel; fills and returns',
+        "def moment_rhs(y, double J, double U, double gamma_gain,",
+        "               double gamma_loss, out):",
+        '    """Same contract as the pure-Python kernel (y any 14-number',
+        "    sequence, out any mutable 14-slot sequence); fills and returns",
         '    the preallocated out buffer."""',
         "    cdef double gg = gamma_gain",
         "    cdef double gl = gamma_loss",
     ]
-    cy_lines += [f"    cdef double {u}" for u in unpack]
+    cy_lines += [f"    cdef double {name} = y[{i}]"
+                 for i, name in enumerate(_HEADER_VARS)]
     tmp_decl = ", ".join(str(s) for s, _ in subs_list)
     if tmp_decl:
         cy_lines.append(f"    cdef double {tmp_decl}")
     cy_lines = render(cy_lines, "")
     cy_lines.append("    return out")
-    (root / "_moment_kernel.pyx").write_text("\n".join(cy_lines) + "\n")
 
     # defect table: component index -> [(complex coeff over U, triple), ...]
     defect_lines = [
@@ -446,14 +457,41 @@ def emit(order, defects, pair_keys):
             entries.append(f"({c!r}, {tuple(pairs)!r})")
         defect_lines.append(f"    {4 + idx}: [" + ", ".join(entries) + "],")
     defect_lines.append("}")
-    (root / "_closure_defects.py").write_text("\n".join(defect_lines) + "\n")
 
-    print(f"wrote kernels and defect table under {root}")
     print(f"common subexpressions: {len(subs_list)}; "
           f"triples per component: "
           f"{[len(defects[k]) for k in pair_keys]}")
+    return {name: "\n".join(lines) + "\n" for name, lines in (
+        ("_moment_rhs_py.py", py_lines),
+        ("_moment_kernel.pyx", cy_lines),
+        ("_closure_defects.py", defect_lines))}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="regenerate in memory and exit 1 if a checked-in file differs")
+    args = parser.parse_args(argv)
+    root = Path(__file__).resolve().parents[1] / "src" / "gldimer"
+    files = derive()
+    if args.check:
+        stale = [name for name, text in files.items()
+                 if not (root / name).is_file()
+                 or (root / name).read_text() != text]
+        for name in stale:
+            print(f"stale: {root / name} differs from the derivation")
+        if stale:
+            print("rerun tools/derive_moment_rhs.py to regenerate")
+            return 1
+        print(f"generated files under {root} are up to date")
+        return 0
+    for name, text in files.items():
+        (root / name).write_text(text)
+    print(f"wrote kernels and defect table under {root}")
+    return 0
 
 
 if __name__ == "__main__":
     sys.setrecursionlimit(100000)
-    main()
+    sys.exit(main())
