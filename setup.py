@@ -1,54 +1,3 @@
-"""Build script: compiles the optional moment-equation kernel.
+from setuptools import setup
 
-The package is fully functional without the extension; a pure-Python
-fallback with identical semantics is selected at import time when the
-compiled module is unavailable (or when GLDIMER_PURE_PYTHON=1 is set at
-build time to skip compilation entirely).
-"""
-
-import os
-
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
-
-
-class OptionalBuildExt(build_ext):
-    """Try to build the kernel; fall back to pure Python on failure."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # compiler missing, etc.
-            print(f"warning: building compiled kernel failed ({exc}); "
-                  "the pure-Python fallback will be used")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"warning: extension {ext.name} failed to build ({exc}); "
-                  "the pure-Python fallback will be used")
-
-
-ext_modules = []
-cmdclass = {}
-if (os.environ.get("GLDIMER_PURE_PYTHON") != "1"
-        and os.path.exists("src/gldimer/_moment_kernel.pyx")):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "gldimer._moment_kernel",
-                    ["src/gldimer/_moment_kernel.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            language_level="3",
-        )
-        cmdclass = {"build_ext": OptionalBuildExt}
-    except ImportError:
-        print("warning: Cython not available; skipping compiled kernel")
-
-setup(ext_modules=ext_modules, cmdclass=cmdclass)
+setup()

@@ -6,8 +6,6 @@ Generated by tools/derive_moment_rhs.py; do not edit by hand.
 
 import numpy as np
 
-COMPILED = False
-
 
 def moment_rhs(y, J, U, gamma_gain, gamma_loss, out=None):
     """Time derivative of the 14-component moment vector

@@ -14,38 +14,33 @@ Two interaction modes exist:
   substituting U(t) = g / (n(t) - 1) at every evaluation, which diverges
   as n approaches 1 and is treated as a hard error there.
 
-The kernel is the compiled extension when available; set
-GLDIMER_PURE_PYTHON=1 to force the pure-Python fallback.  Either kernel
-takes any sequence of 14 floats and writes into any mutable 14-slot
-`out`.  The steady-state root search holds its iterate, residuals and
-Newton steps as lists of Python floats and calls the kernel with them:
-the same IEEE operations in the same order as on numpy scalars, so the
-results are bit for bit those of the array form, at about a third of the
-cost per evaluation.  Only the Jacobian solve uses numpy.
+The right-hand side is the generated pure-Python kernel
+`_moment_rhs_py.moment_rhs`, which takes any sequence of 14 floats and
+writes into any mutable 14-slot `out`.  The steady-state root search
+holds its iterate, residuals and Newton steps as lists of Python floats
+and calls the kernel with them: the same IEEE operations in the same
+order as on numpy scalars, so the results are bit for bit those of the
+array form, at about a third of the cost per evaluation.  Only the
+Jacobian solve uses numpy.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 
+from . import _moment_rhs_py as _kernel
 from .errors import InteractionSingularityError
 from .ode import integrate_dp45, sample_grid
 from .system import SystemParams
 
-if os.environ.get("GLDIMER_PURE_PYTHON") == "1":
-    from . import _moment_rhs_py as _kernel
-else:
-    try:
-        from . import _moment_kernel as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _moment_rhs_py as _kernel
-
-COMPILED_KERNEL: bool = bool(getattr(_kernel, "COMPILED", False))
+# There is no compiled kernel.  The flag stays only because the benchmark
+# (perfbench/worker.py) records it in its run context and perfbench/compare.py
+# refuses to compare records whose flags differ.
+COMPILED_KERNEL = False
 
 COMPONENT_NAMES = ("s_x", "s_y", "s_z", "n", "D_xx", "D_xy", "D_xz", "D_xn",
                    "D_yy", "D_yz", "D_yn", "D_zz", "D_zn", "D_nn")

@@ -107,7 +107,7 @@ _SCHEMAS: dict[str, dict] = {
         "theta0": (float, np.pi / 2),
         "phi0": (float, 0.0),
         "sample_interval": (float, 0.1),
-        "truncation_ceiling": (float, 1e-6),
+        "truncation_ceiling": (float, 5e-3),
     },
     "custom-steady": {
         **_COMMON,
@@ -115,7 +115,7 @@ _SCHEMAS: dict[str, dict] = {
         "gamma": (float, 0.5),
         "g": (float, 0.0),
         "cutoff": (int, 24),
-        "truncation_ceiling": (float, 1e-6),
+        "truncation_ceiling": (float, 5e-3),
     },
 }
 
@@ -441,7 +441,9 @@ def _run_custom_propagate(config: ScenarioConfig, writer: _Writer,
         truncation_ceiling=config["truncation_ceiling"])
     traj = liouville.propagate(rho0, config["t_final"], params, basis, prop)
     writer.csv("trajectory.csv", liouville.TRAJECTORY_COLUMNS, traj.rows())
-    manifest.diagnostics.update(n_steps=traj.n_steps, n_rhs=traj.n_rhs)
+    manifest.diagnostics.update(n_steps=traj.n_steps,
+                                n_rejected=traj.n_rejected,
+                                n_rhs=traj.n_rhs)
 
 
 def _run_custom_steady(config: ScenarioConfig, writer: _Writer,

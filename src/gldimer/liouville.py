@@ -50,7 +50,6 @@ TRAJECTORY_COLUMNS = ("t", "s_x", "s_y", "s_z", "n", "P", "Delta_nn",
 class PropagationConfig:
     """Adaptive embedded Runge-Kutta 4(5) settings and recording choices."""
 
-    method: str = "dp45"
     rtol: float = 1e-8
     atol: float = 1e-10
     max_step: float = np.inf
@@ -60,8 +59,6 @@ class PropagationConfig:
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.method != "dp45":
-            raise ValueError(f"unknown propagation method {self.method!r}")
 
 
 def _jump_ops(params: SystemParams, basis: TwoModeBasis):
@@ -284,6 +281,7 @@ class Trajectory:
     rho_final: np.ndarray
     moments_final: BlochMoments
     n_steps: int
+    n_rejected: int
     n_rhs: int
 
     def rows(self):
@@ -361,7 +359,8 @@ def propagate(rho0: np.ndarray, t_final: float, params: SystemParams,
     rho_final = result.y.reshape((dim, dim), order="F")
     arrays = _moments_to_arrays(result.sample_ts, moments, masses)
     return Trajectory(rho_final=rho_final, moments_final=moments[-1],
-                      n_steps=result.n_steps, n_rhs=result.n_rhs, **arrays)
+                      n_steps=result.n_steps, n_rejected=result.n_rejected,
+                      n_rhs=result.n_rhs, **arrays)
 
 
 def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
@@ -385,7 +384,8 @@ def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
     arrays = _moments_to_arrays(result.sample_ts, moments, masses)
     return Trajectory(rho_final=unpack_block(result.y, space),
                       moments_final=moments[-1],
-                      n_steps=result.n_steps, n_rhs=result.n_rhs, **arrays)
+                      n_steps=result.n_steps, n_rejected=result.n_rejected,
+                      n_rhs=result.n_rhs, **arrays)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

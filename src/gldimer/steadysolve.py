@@ -225,21 +225,16 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
                      t_horizon: float = 20.0, n_perturbations: int = 3,
                      sample_interval: float | None = None,
                      config: liouville.PropagationConfig | None = None,
-                     perturbation: str = "number-sharp",
                      seed: int = 0) -> AttractorReport:
     """Propagate perturbed states and report their trace-norm distance to
     the steady state, with a per-trajectory exponential decay fit over the
     second half of the horizon.
 
-    perturbation="number-sharp" (default) mixes in random pure states of
-    definite total particle number (the natural condensate state family);
-    the deviation then lives entirely in the number-conserving coherence
-    sector, whose slowest mode sets the observable relaxation rate, and
-    the propagation runs on that sector's generator directly.
-    perturbation="generic-ket" mixes in an unrestricted random pure state,
-    which additionally populates inter-sector coherences; those carry no
-    number-conserving observable but decay at about half the sector rate,
-    so the late-time trace distance of a generic perturbation is slower.
+    The perturbations mix in random pure states of definite total particle
+    number (the natural condensate state family); the deviation then lives
+    entirely in the number-conserving coherence sector, whose slowest mode
+    sets the observable relaxation rate, and the propagation runs on that
+    sector's generator directly.
     """
     rng = np.random.default_rng(seed)
     if config is None:
@@ -248,42 +243,24 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
         sample_interval = t_horizon / 40
     n_pts = int(np.floor(t_horizon / sample_interval + 1e-9))
     ts = np.arange(n_pts + 1) * sample_interval
-    if perturbation not in ("number-sharp", "generic-ket"):
-        raise ValueError(f"unknown perturbation kind {perturbation!r}")
 
     from .ode import integrate_dp45
 
-    dim = basis.dim
+    space = liouville.number_block_space(basis)
+    gen = liouville.build_number_block_generator(params, basis)
     distances = []
     rates = []
     for _ in range(n_perturbations):
-        if perturbation == "number-sharp":
-            theta = float(np.arccos(rng.uniform(-1, 1)))
-            phi = float(rng.uniform(0, 2 * np.pi))
-            ket = fock.density_from_state(
-                fock.coherent_state(basis, theta, phi, params.n0))
-        else:
-            bulk = np.flatnonzero(basis.total_of
-                                  <= max(2, basis.cutoff // 3))
-            v = np.zeros(dim, dtype=complex)
-            v[bulk] = rng.normal(size=len(bulk)) + 1j * rng.normal(size=len(bulk))
-            ket = fock.density_from_state(v)
+        theta = float(np.arccos(rng.uniform(-1, 1)))
+        phi = float(rng.uniform(0, 2 * np.pi))
+        ket = fock.density_from_state(
+            fock.coherent_state(basis, theta, phi, params.n0))
         delta0 = perturbation_scale * (ket - rho_ss)
-        if perturbation == "number-sharp":
-            space = liouville.number_block_space(basis)
-            gen = liouville.build_number_block_generator(params, basis)
-            res = integrate_dp45(
-                lambda _t, y: gen @ y, (0.0, t_horizon),
-                liouville.pack_block(delta0, space),
-                rtol=config.rtol, atol=config.atol, sample_times=ts)
-            deltas = [liouville.unpack_block(y, space) for y in res.sample_ys]
-        else:
-            lv = liouville.build_liouvillian(params, basis)
-            res = integrate_dp45(
-                lambda _t, y: lv @ y, (0.0, t_horizon),
-                delta0.ravel(order="F"),
-                rtol=config.rtol, atol=config.atol, sample_times=ts)
-            deltas = [y.reshape((dim, dim), order="F") for y in res.sample_ys]
+        res = integrate_dp45(
+            lambda _t, y: gen @ y, (0.0, t_horizon),
+            liouville.pack_block(delta0, space),
+            rtol=config.rtol, atol=config.atol, sample_times=ts)
+        deltas = [liouville.unpack_block(y, space) for y in res.sample_ys]
         ds = np.array([
             0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T))))
             for d in deltas

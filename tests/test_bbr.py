@@ -15,21 +15,6 @@ from conftest import closure_defect, fd_moment_derivative
 P100 = SystemParams(J=1.0, U=0.0, gamma=1.5, n0=100)
 
 
-def test_kernel_implementations_agree():
-    from gldimer import _moment_rhs_py as pk
-
-    try:
-        from gldimer import _moment_kernel as ck
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        y = rng.normal(scale=40, size=14)
-        a = ck.moment_rhs(y, 1.1, 0.3, 0.45, 0.6, np.empty(14))
-        b = pk.moment_rhs(y, 1.1, 0.3, 0.45, 0.6, np.empty(14))
-        assert np.array_equal(np.asarray(a), np.asarray(b))
-
-
 def _bits(v) -> bytes:
     return np.asarray(v, dtype=float).tobytes()
 

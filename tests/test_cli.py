@@ -122,6 +122,19 @@ def test_custom_propagate_schema(tmp_path):
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,s_x,s_y,s_z,n,P,Delta_nn,truncation_mass"
     assert len(lines) == 6  # header + samples at 0, .5, 1, 1.5, 2
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    # every attempted step, accepted or rejected, costs six evaluations on
+    # top of the initial one and the two of the first-step estimate
+    assert diag["n_rhs"] == 3 + 6 * (diag["n_steps"] + diag["n_rejected"])
+
+
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_scenario_runs_on_its_defaults(tmp_path, scenario):
+    out = tmp_path / "out"
+    assert run_cli([scenario, "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenario"] == scenario
+    assert manifest["files"]
 
 
 def test_unknown_scenario_rejected():

@@ -200,8 +200,6 @@ def test_truncation_ceiling_aborts():
 def test_propagation_config_validation():
     with pytest.raises(ValueError):
         liouville.PropagationConfig(rtol=-1.0)
-    with pytest.raises(ValueError):
-        liouville.PropagationConfig(method="euler")
 
 
 def test_trajectory_csv_schema(tmp_path, small_setup):

@@ -203,25 +203,6 @@ def test_attractor_zero_perturbation(u0_steady_n5, basis24):
     assert np.max(rep.distances) < 1e-8
 
 
-def test_attractor_generic_coherences_decay_slower():
-    # inter-sector coherences of a generic pure-state perturbation decay
-    # at about half the number-sector rate
-    basis = fock.build_basis(12)
-    params = SystemParams(J=1.0, U=0.0, gamma=0.5, n0=2)
-    sol = steadysolve.solve_steady(
-        params, basis, steadysolve.SteadySolveConfig(truncation_ceiling=1e-2))
-    period = 2 * np.pi / np.sqrt(4 - params.gamma_plus**2)
-    rep = steadysolve.verify_attractor(
-        sol.rho, params, basis, perturbation_scale=0.05,
-        t_horizon=16 * period, sample_interval=period,
-        n_perturbations=2, perturbation="generic-ket", seed=3)
-    gm = params.gamma_minus
-    for rate in rep.fitted_rates:
-        assert gm / 3 < rate < gm  # slower than the sector rate
-    print(f"\ngeneric-perturbation decay rates {rep.fitted_rates} vs "
-          f"half-sector rate {gm / 2:.4f}")
-
-
 def test_export_files(tmp_path, fig3_steady, basis24):
     csv_path = tmp_path / "diag.csv"
     json_path = tmp_path / "summary.json"

@@ -19,8 +19,7 @@ which closes the hierarchy.  Everything is then rewritten in the Bloch
 variables (s_x, s_y, s_z, n) and their covariances Delta_jk, and the
 resulting expressions are emitted as
 
-    src/gldimer/_moment_rhs_py.py   pure-Python kernel
-    src/gldimer/_moment_kernel.pyx  Cython kernel (same expressions)
+    src/gldimer/_moment_rhs_py.py   the kernel `moment_rhs`
     src/gldimer/_closure_defects.py table of the factorized triples per
                                     component, for exact defect accounting
                                     in tests
@@ -34,8 +33,8 @@ The script verifies symbolically, before writing anything, that
 
 Run it from anywhere as
 
-    python tools/derive_moment_rhs.py           # rewrite the three files
-    python tools/derive_moment_rhs.py --check   # exit 1 if any is stale
+    python tools/derive_moment_rhs.py           # rewrite the two files
+    python tools/derive_moment_rhs.py --check   # exit 1 if either is stale
 """
 
 from __future__ import annotations
@@ -347,9 +346,9 @@ from sympy.printing.pycode import PythonCodePrinter
 
 
 class _FloatRationalPrinter(PythonCodePrinter):
-    """Render rationals as double literals so the same source is valid,
-    and numerically identical, in both Python and Cython (where integer
-    literal division would truncate under cdivision)."""
+    """Render rationals as double literals (`(0.5)*gl`, not `gl/2`), which
+    fixes the spelling, and with it the floating-point operations, of the
+    generated kernel."""
 
     def _print_Rational(self, expr):
         return repr(float(sp.Float(expr, 17)))
@@ -366,14 +365,6 @@ def render_files(order, defects, pair_keys) -> dict[str, str]:
     exprs = [e for _, e in order]
     subs_list, reduced = sp.cse(exprs, optimizations="basic")
 
-    def render(lines, assign, indent="    "):
-        body = []
-        for sym, val in subs_list:
-            body.append(f"{indent}{assign}{sym} = {_code(val)}")
-        for i, e in enumerate(reduced):
-            body.append(f"{indent}out[{i}] = {_code(e)}")
-        return lines + body
-
     py_lines = [
         '"""Closed equations of motion for the first and second Bloch moments',
         "of the gain-loss dimer (third-order factorization closure).",
@@ -382,8 +373,6 @@ def render_files(order, defects, pair_keys) -> dict[str, str]:
         '"""',
         "",
         "import numpy as np",
-        "",
-        "COMPILED = False",
         "",
         "",
         "def moment_rhs(y, J, U, gamma_gain, gamma_loss, out=None):",
@@ -403,34 +392,9 @@ def render_files(order, defects, pair_keys) -> dict[str, str]:
         "    gl = gamma_loss",
         f"    {', '.join(_HEADER_VARS)} = y",
     ]
-    py_lines = render(py_lines, "")
+    py_lines += [f"    {sym} = {_code(val)}" for sym, val in subs_list]
+    py_lines += [f"    out[{i}] = {_code(e)}" for i, e in enumerate(reduced)]
     py_lines.append("    return out")
-
-    cy_lines = [
-        "# cython: boundscheck=False, wraparound=False, cdivision=True",
-        '"""Compiled kernel for the closed moment equations of motion.',
-        "",
-        "Generated by tools/derive_moment_rhs.py; do not edit by hand.",
-        '"""',
-        "",
-        "COMPILED = True",
-        "",
-        "",
-        "def moment_rhs(y, double J, double U, double gamma_gain,",
-        "               double gamma_loss, out):",
-        '    """Same contract as the pure-Python kernel (y any 14-number',
-        "    sequence, out any mutable 14-slot sequence); fills and returns",
-        '    the preallocated out buffer."""',
-        "    cdef double gg = gamma_gain",
-        "    cdef double gl = gamma_loss",
-    ]
-    cy_lines += [f"    cdef double {name} = y[{i}]"
-                 for i, name in enumerate(_HEADER_VARS)]
-    tmp_decl = ", ".join(str(s) for s, _ in subs_list)
-    if tmp_decl:
-        cy_lines.append(f"    cdef double {tmp_decl}")
-    cy_lines = render(cy_lines, "")
-    cy_lines.append("    return out")
 
     # defect table: component index -> [(complex coeff over U, triple), ...]
     defect_lines = [
@@ -463,7 +427,6 @@ def render_files(order, defects, pair_keys) -> dict[str, str]:
           f"{[len(defects[k]) for k in pair_keys]}")
     return {name: "\n".join(lines) + "\n" for name, lines in (
         ("_moment_rhs_py.py", py_lines),
-        ("_moment_kernel.pyx", cy_lines),
         ("_closure_defects.py", defect_lines))}
 
 
@@ -488,7 +451,7 @@ def main(argv=None) -> int:
         return 0
     for name, text in files.items():
         (root / name).write_text(text)
-    print(f"wrote kernels and defect table under {root}")
+    print(f"wrote the kernel and the defect table under {root}")
     return 0
 
 
