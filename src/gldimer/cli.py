@@ -377,7 +377,7 @@ def _run_fig3(config: ScenarioConfig, writer: _Writer,
     writer.csv("fig3_steady_diagonal.csv", steadysolve.DIAGONAL_COLUMNS,
                diag_rows)
     writer.json("fig3_steady_summary.json", summary)
-    manifest.diagnostics.update(residual=sol.residual, matvecs=sol.matvecs)
+    manifest.diagnostics.update(sol.diagnostics())
 
 
 def _sweep(config: ScenarioConfig, g: float, mode: str):
@@ -439,7 +439,8 @@ def _run_custom_propagate(config: ScenarioConfig, writer: _Writer,
         rtol=config["tolerance"], atol=config["tolerance"] * 1e-2,
         sample_interval=config["sample_interval"],
         truncation_ceiling=config["truncation_ceiling"])
-    traj = liouville.propagate(rho0, config["t_final"], params, basis, prop)
+    traj = liouville.moment_trajectory(rho0, config["t_final"], params, basis,
+                                       prop)
     writer.csv("trajectory.csv", liouville.TRAJECTORY_COLUMNS, traj.rows())
     manifest.diagnostics.update(n_steps=traj.n_steps,
                                 n_rejected=traj.n_rejected,
@@ -458,7 +459,7 @@ def _run_custom_steady(config: ScenarioConfig, writer: _Writer,
     diag_rows, summary = steadysolve.steady_outputs(sol, basis)
     writer.csv("steady_diagonal.csv", steadysolve.DIAGONAL_COLUMNS, diag_rows)
     writer.json("steady_summary.json", summary)
-    manifest.diagnostics.update(residual=sol.residual, matvecs=sol.matvecs)
+    manifest.diagnostics.update(sol.diagnostics())
 
 
 _RUNNERS = {

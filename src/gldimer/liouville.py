@@ -11,14 +11,21 @@ exactly trace preserving there.
 Two representations are provided:
 
 * the full superoperator on vec(rho) (column stacking), used by
-  `propagate`, and
+  `propagate` and as the tests' oracle, and
 * a block representation on the number-conserving coherence sector
-  (matrix elements <n1,n2|rho|m1,m2> with n1+n2 = m1+m2), used by
-  `moment_trajectory`.  The generator never mixes coherence grades
-  (every term shifts the total occupation of bra and ket sides equally),
-  and every exported observable is number conserving, so this block
-  reproduces the full dynamics of those observables exactly at a fraction
-  of the cost.  This makes large cutoffs affordable.
+  (matrix elements <n1,n2|rho|m1,m2> with n1+n2 = m1+m2), written in
+  closed form from its matrix elements per particle-number sector and
+  used by `moment_trajectory` and the steady-state solve.  The generator
+  never mixes coherence grades (every term shifts the total occupation of
+  bra and ket sides equally), and every exported observable is number
+  conserving, so this block reproduces the full dynamics of those
+  observables exactly at a fraction of the cost.  This makes large
+  cutoffs affordable.
+
+The sector blocks of a density matrix are Hermitian, so the block
+representation also has real Hermitian coordinates (the real and
+imaginary parts of one triangle per block), in which the generator is a
+real matrix (`hermitian_generator`).
 """
 
 from __future__ import annotations
@@ -39,7 +46,9 @@ __all__ = [
     "SystemParams", "balanced_rates", "PropagationConfig", "Trajectory",
     "build_liouvillian", "apply_liouvillian", "propagate",
     "moment_trajectory", "NumberBlockSpace", "number_block_space",
-    "build_number_block_generator", "trajectory_to_csv",
+    "build_number_block_generator", "hermitian_generator",
+    "to_hermitian_coordinates", "from_hermitian_coordinates",
+    "boundary_monitor", "trajectory_to_csv",
 ]
 
 TRAJECTORY_COLUMNS = ("t", "s_x", "s_y", "s_z", "n", "P", "Delta_nn",
@@ -114,45 +123,64 @@ class NumberBlockSpace:
 
     Packed layout: density-matrix blocks rho[sector_N, sector_N] for
     N = 0 .. 2*cutoff, each column-stacked, concatenated in order of N.
+    Within sector N the states are ordered by n1 = lo_N .. lo_N + d_N - 1,
+    lo_N = max(0, N - cutoff), so the entry <n1k, N - n1k|rho|n1b, N - n1b>
+    sits at offsets[N] + (n1k - lo_N) + (n1b - lo_N) * d_N.
+
+    Hermitian coordinates: a Hermitian packed vector v is carried by the
+    real vector x of the same layout with x = Re v on and above each
+    block's diagonal and x = Im v strictly below it (`lower`).
     """
 
     basis: TwoModeBasis
     sectors: tuple  # tuple of ndarray of flat state indices per total N
     offsets: np.ndarray
     size: int
+    sector_of: np.ndarray            # total N of every packed position
+    n1_ket: np.ndarray               # site-1 occupation of the ket (row)
+    n1_bra: np.ndarray               # site-1 occupation of the bra (column)
     diag_positions: np.ndarray       # packed positions of rho_ii
     diag_states: np.ndarray          # flat state index for each diag position
     herm_perm: np.ndarray            # packed transpose permutation
+    lower: np.ndarray                # positions strictly below the diagonal
     boundary_diag_positions: np.ndarray
+
+    def position(self, total, n1_ket, n1_bra) -> np.ndarray:
+        """Packed position of <n1_ket, total - n1_ket|rho|n1_bra, ...>."""
+        lo = np.maximum(total - self.basis.cutoff, 0)
+        d = np.minimum(total, 2 * self.basis.cutoff - total) + 1
+        return self.offsets[total] + (n1_ket - lo) + (n1_bra - lo) * d
 
 
 @lru_cache(maxsize=8)
 def number_block_space(basis: TwoModeBasis) -> NumberBlockSpace:
-    sectors = []
-    for total in range(2 * basis.cutoff + 1):
-        idx = np.flatnonzero(basis.total_of == total)
-        sectors.append(idx[np.argsort(basis.n1_of[idx])])
-    sizes = np.array([len(s) ** 2 for s in sectors])
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    cutoff = basis.cutoff
+    totals = np.arange(2 * cutoff + 1)
+    lo = np.maximum(totals - cutoff, 0)
+    d = np.minimum(totals, 2 * cutoff - totals) + 1
+
+    def flat(total, n1):
+        return n1 * (cutoff + 1) + total - n1
+
+    sectors = tuple(flat(n, lo[n] + np.arange(d[n])) for n in totals)
+    offsets = np.concatenate(([0], np.cumsum(d * d)))
     size = int(offsets[-1])
 
-    diag_pos, diag_states, herm_perm = [], [], np.empty(size, dtype=np.intp)
-    for n, sec in enumerate(sectors):
-        d = len(sec)
-        base = offsets[n]
-        for i in range(d):
-            diag_pos.append(base + i * d + i)
-            diag_states.append(sec[i])
-        cols, rows = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-        herm_perm[base + cols.ravel() * d + rows.ravel()] = (
-            base + rows.ravel() * d + cols.ravel())
-    diag_pos = np.array(diag_pos, dtype=np.intp)
-    diag_states = np.array(diag_states, dtype=np.intp)
+    sector_of = np.repeat(totals, d * d)
+    local = np.arange(size) - offsets[sector_of]
+    ds = d[sector_of]
+    row, col = local % ds, local // ds
+    n1_ket = lo[sector_of] + row
+    n1_bra = lo[sector_of] + col
+    diag_pos = np.flatnonzero(n1_ket == n1_bra)
+    diag_states = flat(sector_of[diag_pos], n1_ket[diag_pos])
     on_boundary = np.isin(diag_states, basis.boundary)
     return NumberBlockSpace(
-        basis=basis, sectors=tuple(sectors), offsets=offsets, size=size,
+        basis=basis, sectors=sectors, offsets=offsets, size=size,
+        sector_of=sector_of, n1_ket=n1_ket, n1_bra=n1_bra,
         diag_positions=diag_pos, diag_states=diag_states,
-        herm_perm=herm_perm, boundary_diag_positions=diag_pos[on_boundary],
+        herm_perm=offsets[sector_of] + col + row * ds, lower=row > col,
+        boundary_diag_positions=diag_pos[on_boundary],
     )
 
 
@@ -171,62 +199,103 @@ def unpack_block(vec: np.ndarray, space: NumberBlockSpace) -> np.ndarray:
     return rho
 
 
-def _sector_slice(op: sp.csr_array, rows: np.ndarray, cols: np.ndarray) -> sp.csr_array:
-    return sp.csr_array(op[rows][:, cols])
+def to_hermitian_coordinates(vec: np.ndarray,
+                             space: NumberBlockSpace) -> np.ndarray:
+    """Real coordinates x of a Hermitian packed vector (see
+    NumberBlockSpace); the anti-Hermitian part of vec is dropped."""
+    return np.where(space.lower, vec.imag, vec.real)
+
+
+def from_hermitian_coordinates(x: np.ndarray,
+                               space: NumberBlockSpace) -> np.ndarray:
+    """The Hermitian packed vector whose real coordinates are x."""
+    xt = x[space.herm_perm]
+    imag = np.where(space.lower, x, -xt)
+    imag[space.diag_positions] = 0.0
+    return np.where(space.lower, xt, x) + 1j * imag
+
+
+def hermitian_generator(gen: sp.csr_array,
+                        space: NumberBlockSpace) -> sp.csr_array:
+    """The real matrix that acts on Hermitian coordinates as `gen` acts on
+    the packed vectors they stand for.  `gen` must map Hermitian packed
+    vectors to Hermitian ones, as every Lindblad generator does; the
+    result keeps the sector block structure."""
+    pos = np.arange(space.size)
+    off = space.herm_perm != pos
+    # from_hermitian_coordinates as a matrix: column p holds the weights
+    # of x_p in v_p and in v at the transposed position
+    from_x = sp.csr_array(
+        (np.concatenate((np.where(space.lower, 1j, 1.0),
+                         np.where(space.lower[off], -1j, 1.0))),
+         (np.concatenate((pos, space.herm_perm[off])),
+          np.concatenate((pos, pos[off])))),
+        shape=(space.size, space.size))
+    # Re(w v) is Re v or Im v
+    rows = sp.diags_array(np.where(space.lower, -1j, 1.0))
+    out = (rows @ gen @ from_x).real
+    out.eliminate_zeros()
+    return out
 
 
 @lru_cache(maxsize=8)
 def build_number_block_generator(params: SystemParams,
                                  basis: TwoModeBasis) -> sp.csr_array:
-    """Generator restricted to the coherence-grade-0 sector."""
+    """Generator restricted to the coherence-grade-0 sector, written from
+    its matrix elements in the packed layout.
+
+    In sector N the Hamiltonian is tridiagonal in n1, with hopping
+    -J sqrt((n1 + 1) n2) between n1 and n1 + 1 and the interaction
+    U/2 (n1 (n1 - 1) + n2 (n2 - 1)) on the diagonal.  The anticommutator
+    terms are diagonal: K_loss = n1, K_gain = n2 + 1 (the truncated
+    product, 0 at n2 = cutoff).  The loss sandwich a1 rho a1^dag feeds
+    sector N - 1 from N with weight sqrt(n1k n1b), the gain sandwich
+    a2^dag rho a2 feeds sector N + 1 from N with weight
+    sqrt((n2k + 1)(n2b + 1)).
+    """
     space = number_block_space(basis)
-    h = fock.hamiltonian(basis, params.J, params.U)
-    a1, a2d = _jump_ops(params, basis)
-    k_loss = sp.csr_array(a1.conj().T @ a1)
-    k_gain = sp.csr_array(a2d.conj().T @ a2d)
+    cutoff = basis.cutoff
+    J, U = params.J, params.U
     gl, gg = params.gamma_loss, params.gamma_gain
+    tot, n1k, n1b = space.sector_of, space.n1_ket, space.n1_bra
+    n2k, n2b = tot - n1k, tot - n1b
+    pos = np.arange(space.size)
 
-    rows_l, cols_l, vals_l = [], [], []
+    def energy(n1, n2):
+        return 0.5 * U * (n1 * (n1 - 1) + n2 * (n2 - 1))
 
-    def add(block: sp.coo_array, row_off: int, col_off: int):
-        b = sp.coo_array(block)
-        rows_l.append(b.row + row_off)
-        cols_l.append(b.col + col_off)
-        vals_l.append(b.data)
+    def k_gain(n2):
+        return np.where(n2 < cutoff, n2 + 1, 0)
 
-    n_sec = len(space.sectors)
-    for n, sec in enumerate(space.sectors):
-        d = len(sec)
-        if d == 0:
-            continue
-        eye = sp.eye_array(d, dtype=complex, format="csr")
-        off = space.offsets[n]
-        h_n = _sector_slice(h, sec, sec)
-        same = -1j * (sp.kron(eye, h_n) - sp.kron(h_n.T, eye))
-        if gl:
-            k_n = _sector_slice(k_loss, sec, sec)
-            same = same - 0.5 * gl * (sp.kron(eye, k_n) + sp.kron(k_n.T, eye))
-        if gg:
-            k_n = _sector_slice(k_gain, sec, sec)
-            same = same - 0.5 * gg * (sp.kron(eye, k_n) + sp.kron(k_n.T, eye))
-        add(same, off, off)
-        # loss sandwich: sector N feeds sector N-1
-        if gl and n >= 1:
-            dst = space.sectors[n - 1]
-            a_blk = _sector_slice(a1, dst, sec)
-            add(gl * sp.kron(a_blk.conj(), a_blk), space.offsets[n - 1], off)
-        # gain sandwich: sector N feeds sector N+1
-        if gg and n + 1 < n_sec:
-            dst = space.sectors[n + 1]
-            a_blk = _sector_slice(a2d, dst, sec)
-            add(gg * sp.kron(a_blk.conj(), a_blk), space.offsets[n + 1], off)
+    diag = (-1j * (energy(n1k, n2k) - energy(n1b, n2b))
+            - 0.5 * gl * (n1k + n1b) - 0.5 * gg * (k_gain(n2k) + k_gain(n2b)))
+    keep = diag != 0
+    rows, cols, vals = [pos[keep]], [pos[keep]], [diag[keep]]
 
-    gen = sp.coo_array(
-        (np.concatenate(vals_l),
-         (np.concatenate(rows_l), np.concatenate(cols_l))),
-        shape=(space.size, space.size),
-    )
-    return sp.csr_array(gen)
+    # -i H rho couples n1k to n1k + 1, +i rho H couples n1b to n1b + 1
+    for n1, n2, phase, dk, db in ((n1k, n2k, -1j, 1, 0),
+                                  (n1b, n2b, 1j, 0, 1)):
+        src = pos[(n2 > 0) & (n1 < cutoff)]
+        dst = space.position(tot[src], n1k[src] + dk, n1b[src] + db)
+        val = phase * -J * np.sqrt((n1[src] + 1.0) * n2[src])
+        rows += [src, dst]
+        cols += [dst, src]
+        vals += [val, val]
+
+    if gl:
+        src = pos[(n1k > 0) & (n1b > 0)]
+        rows.append(space.position(tot[src] - 1, n1k[src] - 1, n1b[src] - 1))
+        cols.append(src)
+        vals.append(gl * np.sqrt(n1k[src] * n1b[src], dtype=float))
+    if gg:
+        src = pos[(n2k < cutoff) & (n2b < cutoff)]
+        rows.append(space.position(tot[src] + 1, n1k[src], n1b[src]))
+        cols.append(src)
+        vals.append(gg * np.sqrt((n2k[src] + 1.0) * (n2b[src] + 1.0)))
+
+    return sp.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.size, space.size))
 
 
 @lru_cache(maxsize=8)
@@ -303,31 +372,36 @@ def _moments_to_arrays(ts, moment_list, masses):
                 truncation_mass=np.asarray(masses))
 
 
+def boundary_monitor(boundary: np.ndarray, ceiling: float,
+                     base_mass: float = 0.0):
+    """A monitor for integrate_dp45 that raises TruncationOverflowError once
+    the boundary mass, base_mass plus the real parts of the packed state's
+    diagonal entries at `boundary`, exceeds the ceiling.  The integrator
+    calls it after every accepted step; call it at t = 0 to check the
+    initial state."""
+    def monitor(t, v):
+        mass = base_mass + float(np.sum(v[boundary].real))
+        if mass > ceiling:
+            raise TruncationOverflowError(
+                f"boundary mass {mass:.3e} exceeded ceiling {ceiling:.3e} "
+                f"at t = {t:.6g} (basis too small)")
+    return monitor
+
+
 def _integrate(y0: np.ndarray, t_final: float, gen: sp.csr_array,
                herm_perm: np.ndarray, boundary: np.ndarray,
                config: PropagationConfig):
     """Integrate y' = gen y from a packed state, re-hermitizing after every
     step (herm_perm maps each packed entry to its transpose) and aborting
     once the diagonal entries at `boundary` carry more than the ceiling."""
-    mass0 = float(np.sum(y0[boundary].real))
-    if mass0 > config.truncation_ceiling:
-        raise TruncationOverflowError(
-            f"initial boundary mass {mass0:.3e} exceeds ceiling "
-            f"{config.truncation_ceiling:.3e}")
+    monitor = boundary_monitor(boundary, config.truncation_ceiling)
+    monitor(0.0, y0)
 
     def rhs(_t, v):
         return gen @ v
 
     def hermitize_step(_t, v):
         return 0.5 * (v + v[herm_perm].conj())
-
-    def monitor(t, v):
-        mass = float(np.sum(v[boundary].real))
-        if mass > config.truncation_ceiling:
-            raise TruncationOverflowError(
-                f"boundary mass {mass:.3e} exceeded ceiling "
-                f"{config.truncation_ceiling:.3e} at t = {t:.6g} "
-                "(basis too small)")
 
     return integrate_dp45(
         rhs, (0.0, t_final), y0,

@@ -5,15 +5,20 @@ never couples the number-conserving coherence sector to the rest, and the
 non-degenerate steady state carries no other coherences, so the solve runs
 on that sector's generator.  There it is block tridiagonal in the total
 particle number N = 0 .. 2*cutoff: sector N couples to itself, receives
-gain from N - 1 and loss from N + 1.  The singular system is made square
-by replacing the equation for d rho_00/dt (implied by trace preservation
-of the rest) with the pin rho_00 = 1, which keeps that structure, and is
-solved by block elimination over the sectors (the matrix-continued-
-fraction method): one dense LU factorization per sector, from the top
-sector down, followed by a few steps of iterative refinement only if
-needed.  The state is then normalized to unit trace, and its residual is
-re-verified by an independent application of the full generator in
-matrix form, never trusted from the solver.
+gain from N - 1 and loss from N + 1.  Every block rho_N is Hermitian and
+the generator preserves Hermiticity, so the solve runs in real Hermitian
+coordinates (the diagonal and the real and imaginary parts of one
+triangle, d_N^2 reals for a d_N x d_N block), where the generator is a
+real matrix of the same block structure.  The singular system is made
+square by replacing the equation for d rho_00/dt (implied by trace
+preservation of the rest) with the pin rho_00 = 1, which keeps that
+structure, and is solved by block elimination over the sectors (the
+matrix-continued-fraction method): one dense real LU factorization per
+sector, from the top sector down, followed by a few steps of iterative
+refinement only if needed.  The state is then mapped back to a complex
+density matrix, normalized to unit trace, and its residual is re-verified
+by an independent application of the full generator in matrix form,
+never trusted from the solver.
 """
 
 from __future__ import annotations
@@ -56,6 +61,17 @@ class SteadySolution:
     eigenvalue_floor: float          # smallest eigenvalue before clipping
     adjustments: dict = field(default_factory=dict)
     wall_time: float = 0.0
+    # seconds spent in each phase: build, eliminate, post_process, verify
+    phase_seconds: dict = field(default_factory=dict)
+    n_sectors: int = 0               # particle-number sectors N = 0 .. top
+    max_block_order: int = 0         # order of the largest sector block
+
+    def diagnostics(self) -> dict:
+        """What the solve did, for a run manifest."""
+        return {"residual": self.residual, "matvecs": self.matvecs,
+                "phase_seconds": self.phase_seconds,
+                "n_sectors": self.n_sectors,
+                "max_block_order": self.max_block_order}
 
     @property
     def moments(self):
@@ -70,7 +86,8 @@ def _sector_eliminator(gen: sp.csr_array, offsets: np.ndarray):
     """Factor the pinned system a (gen with its first row replaced by
     x_0 = b_0) by block elimination over the number sectors, whose packed
     ranges are offsets[N]:offsets[N + 1], and return solve(b) for
-    a @ x = b.  Sector 0 holds rho_00 alone.
+    a @ x = b.  Sector 0 holds rho_00 alone.  The arithmetic is that of
+    gen: real for the generator in Hermitian coordinates.
 
     With A_N, G_N and L_N the blocks of sector N's rows in the columns of
     sectors N, N - 1 and N + 1, the backward sweep forms
@@ -140,19 +157,35 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
             "steady state undefined at gamma = 0: every mixture of "
             "Hamiltonian eigenprojectors is stationary")
     t0 = time.monotonic()
+    seconds = dict.fromkeys(("build", "eliminate", "post_process", "verify"),
+                            0.0)
+    last = time.perf_counter()
+
+    def lap(phase):
+        nonlocal last
+        now = time.perf_counter()
+        seconds[phase] += now - last
+        last = now
+
     space = liouville.number_block_space(basis)
-    gen = liouville.build_number_block_generator(params, basis)
+    gen = liouville.hermitian_generator(
+        liouville.build_number_block_generator(params, basis), space)
+    lap("build")
     solve = _sector_eliminator(gen, space.offsets)
-    b = np.zeros(space.size, dtype=complex)
+    b = np.zeros(space.size)
     b[0] = 1.0
     x = solve(b)
+    lap("eliminate")
     matvecs = 0
     while True:
         rho, adjustments, floor = _post_process(
-            liouville.unpack_block(x / x[space.diag_positions].sum(), space),
+            liouville.unpack_block(liouville.from_hermitian_coordinates(
+                x / x[space.diag_positions].sum(), space), space),
             config, space.sectors)
+        lap("post_process")
         residual = float(np.max(np.abs(
             liouville.apply_liouvillian(rho, params, basis))))
+        lap("verify")
         if residual < config.residual_tol:
             break
         if matvecs == MAX_REFINEMENTS:
@@ -162,6 +195,7 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
                 f"after {matvecs} refinement steps")
         x = x + solve(_pinned_residual(gen, x))
         matvecs += 1
+        lap("eliminate")
 
     mass = fock.truncation_mass(rho, basis)
     if mass > config.truncation_ceiling:
@@ -170,10 +204,13 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
             f"ceiling {config.truncation_ceiling:.3e}; enlarge the basis "
             f"(residual was {residual:.3e})")
 
+    lap("verify")
     sol = SteadySolution(
         rho=rho, residual=residual, matvecs=matvecs,
         truncation_mass=mass, eigenvalue_floor=floor,
         adjustments=adjustments, wall_time=time.monotonic() - t0,
+        phase_seconds=seconds, n_sectors=len(space.sectors),
+        max_block_order=int(np.max(np.diff(space.offsets))),
     )
     return sol.attach_moments(basis)
 
@@ -228,7 +265,9 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
                      seed: int = 0) -> AttractorReport:
     """Propagate perturbed states and report their trace-norm distance to
     the steady state, with a per-trajectory exponential decay fit over the
-    second half of the horizon.
+    second half of the horizon.  Raises TruncationOverflowError once a
+    perturbed state rho_ss + delta(t) carries more boundary mass than
+    config.truncation_ceiling.
 
     The perturbations mix in random pure states of definite total particle
     number (the natural condensate state family); the deviation then lives
@@ -248,6 +287,11 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
 
     space = liouville.number_block_space(basis)
     gen = liouville.build_number_block_generator(params, basis)
+    bpos = space.boundary_diag_positions
+    # the monitored state is rho_ss + delta(t)
+    monitor = liouville.boundary_monitor(
+        bpos, config.truncation_ceiling,
+        float(np.sum(liouville.pack_block(rho_ss, space)[bpos].real)))
     distances = []
     rates = []
     for _ in range(n_perturbations):
@@ -255,11 +299,13 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
         phi = float(rng.uniform(0, 2 * np.pi))
         ket = fock.density_from_state(
             fock.coherent_state(basis, theta, phi, params.n0))
-        delta0 = perturbation_scale * (ket - rho_ss)
+        delta0 = liouville.pack_block(perturbation_scale * (ket - rho_ss),
+                                      space)
+        monitor(0.0, delta0)
         res = integrate_dp45(
-            lambda _t, y: gen @ y, (0.0, t_horizon),
-            liouville.pack_block(delta0, space),
-            rtol=config.rtol, atol=config.atol, sample_times=ts)
+            lambda _t, y: gen @ y, (0.0, t_horizon), delta0,
+            rtol=config.rtol, atol=config.atol, sample_times=ts,
+            monitor=monitor)
         deltas = [liouville.unpack_block(y, space) for y in res.sample_ys]
         ds = np.array([
             0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T))))

@@ -128,6 +128,19 @@ def test_custom_propagate_schema(tmp_path):
     assert diag["n_rhs"] == 3 + 6 * (diag["n_steps"] + diag["n_rejected"])
 
 
+def test_custom_steady_manifest_reports_the_solve(tmp_path):
+    cfgf = tmp_path / "s.cfg"
+    cfgf.write_text("cutoff = 6\nn0 = 2\ngamma = 0.5\ng = 0.5\n"
+                    "truncation_ceiling = 1\n")
+    out = tmp_path / "steady"
+    assert run_cli(["custom-steady", "--config", cfgf, "--out", out]) == 0
+    diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert set(diag["phase_seconds"]) == {"build", "eliminate",
+                                          "post_process", "verify"}
+    assert diag["n_sectors"] == 13 and diag["max_block_order"] == 49
+    assert diag["matvecs"] == 0 and diag["residual"] < 1e-10
+
+
 @pytest.mark.parametrize("scenario", cli.SCENARIOS)
 def test_scenario_runs_on_its_defaults(tmp_path, scenario):
     out = tmp_path / "out"

@@ -86,6 +86,53 @@ def test_number_block_generator_matches_full(small_setup):
     assert np.max(np.abs(blk - full)) < 1e-13
 
 
+@pytest.mark.parametrize("cutoff", range(1, 7))
+@pytest.mark.parametrize("J, U, gamma, n0", [
+    (1.0, 0.0, 0.5, 1),      # U = 0
+    (1.0, 5.0, 0.7, 2),      # g = 5
+    (0.7, 0.3, 0.0, 5),      # both rates zero
+    (1.0, 0.4, 1.3, 5),
+])
+def test_number_block_generator_matches_kron_restriction(cutoff, J, U, gamma,
+                                                         n0):
+    # the closed-form sector generator against the grade-0 rows and
+    # columns of the kron superoperator on vec(rho)
+    basis = fock.build_basis(cutoff)
+    params = SystemParams(J=J, U=U, gamma=gamma, n0=n0)
+    space = liouville.number_block_space(basis)
+    ket = space.n1_ket * (cutoff + 1) + space.sector_of - space.n1_ket
+    bra = space.n1_bra * (cutoff + 1) + space.sector_of - space.n1_bra
+    idx = ket + bra * basis.dim
+    ref = liouville.build_liouvillian(params, basis)[idx][:, idx].toarray()
+    gen = liouville.build_number_block_generator(params, basis)
+    assert gen.format == "csr" and gen.shape == ref.shape
+    assert np.max(np.abs(gen.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.all(gen.data != 0)
+
+
+def test_hermitian_coordinates_round_trip(small_setup):
+    basis, params = small_setup
+    space = liouville.number_block_space(basis)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(basis.dim, basis.dim)) \
+        + 1j * rng.normal(size=(basis.dim, basis.dim))
+    vec = liouville.pack_block(x + x.conj().T, space)  # Hermitian blocks
+    coords = liouville.to_hermitian_coordinates(vec, space)
+    assert coords.dtype == float
+    assert np.array_equal(
+        liouville.from_hermitian_coordinates(coords, space), vec)
+    # the real generator acts on coordinates as the complex one on blocks
+    gen = liouville.build_number_block_generator(params, basis)
+    real = liouville.hermitian_generator(gen, space)
+    assert real.dtype == float and real.format == "csr"
+    for y in (coords, rng.normal(size=space.size)):
+        blocks = liouville.from_hermitian_coordinates(y, space)
+        out = gen @ blocks
+        assert np.max(np.abs(out - out[space.herm_perm].conj())) < 1e-13
+        assert np.max(np.abs(real @ y - liouville.to_hermitian_coordinates(
+            out, space))) < 1e-13 * np.max(np.abs(out))
+
+
 def test_rabi_oscillation():
     basis = fock.build_basis(4)
     params = SystemParams(J=1.0, U=0.0, gamma=0.0, n0=1)

@@ -77,18 +77,20 @@ def test_matches_dense_null_vector(g, gamma):
 
 def test_sector_eliminator_solves_pinned_system():
     # general right-hand sides, as in the refinement steps, against the
-    # assembled pinned system (first row replaced by x_0 = b_0)
+    # assembled pinned system (first row replaced by x_0 = b_0), in the
+    # real Hermitian coordinates the solve runs in
     basis = fock.build_basis(5)
     params = SystemParams.from_g(g=0.7, gamma=0.8, n0=3)
     space = liouville.number_block_space(basis)
-    gen = liouville.build_number_block_generator(params, basis)
+    gen = liouville.hermitian_generator(
+        liouville.build_number_block_generator(params, basis), space)
     a = sp.lil_array(gen)
     a[0, :] = 0.0
     a[0, 0] = 1.0
     a = sp.csr_array(a)
     solve = steadysolve._sector_eliminator(gen, space.offsets)
     rng = np.random.default_rng(5)
-    b = rng.normal(size=space.size) + 1j * rng.normal(size=space.size)
+    b = rng.normal(size=space.size)
     x = solve(b)
     assert np.max(np.abs(a @ x - b)) < 1e-10 * np.max(np.abs(b))
     assert np.allclose(steadysolve._pinned_residual(gen, x),
@@ -201,6 +203,38 @@ def test_attractor_zero_perturbation(u0_steady_n5, basis24):
                                        perturbation_scale=0.0,
                                        t_horizon=2.0, n_perturbations=1)
     assert np.max(rep.distances) < 1e-8
+
+
+def test_solution_reports_its_work(fig3_steady, basis24):
+    sol = fig3_steady
+    assert set(sol.phase_seconds) == {"build", "eliminate", "post_process",
+                                      "verify"}
+    assert all(t >= 0.0 for t in sol.phase_seconds.values())
+    assert sum(sol.phase_seconds.values()) <= sol.wall_time
+    assert sol.n_sectors == 2 * basis24.cutoff + 1
+    assert sol.max_block_order == (basis24.cutoff + 1) ** 2
+    assert sol.diagnostics()["matvecs"] == sol.matvecs == 0
+
+
+def test_attractor_perturbation_respects_ceiling():
+    # the perturbed state rho_ss + delta(t) is monitored like any other
+    # propagation: its boundary mass starts below the ceiling and leaks
+    # above it on the way back to the steady state
+    basis = fock.build_basis(6)
+    params = SystemParams.from_g(g=0.5, gamma=0.5, n0=2)
+    rho_ss = steadysolve.solve_steady(
+        params, basis,
+        steadysolve.SteadySolveConfig(truncation_ceiling=1.0)).rho
+    mass_ss = fock.truncation_mass(rho_ss, basis)
+    run = dict(perturbation_scale=1.0, t_horizon=20.0, n_perturbations=1)
+    steadysolve.verify_attractor(
+        rho_ss, params, basis,
+        config=liouville.PropagationConfig(truncation_ceiling=1.0), **run)
+    with pytest.raises(TruncationOverflowError, match="at t = [1-9]"):
+        steadysolve.verify_attractor(
+            rho_ss, params, basis,
+            config=liouville.PropagationConfig(
+                truncation_ceiling=0.5 * mass_ss), **run)
 
 
 def test_export_files(tmp_path, fig3_steady, basis24):
