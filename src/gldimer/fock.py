@@ -109,17 +109,6 @@ def number_op(basis: TwoModeBasis, site: int) -> sp.csr_array:
     return sp.csr_array(a.conj().T @ a)
 
 
-def mode_operator(basis: TwoModeBasis, site: int, kind: str) -> sp.csr_array:
-    """Dispatch on kind in {'annihilate', 'create', 'number'}."""
-    if kind == "annihilate":
-        return annihilation(basis, site)
-    if kind == "create":
-        return creation(basis, site)
-    if kind == "number":
-        return number_op(basis, site)
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
 def total_number(basis: TwoModeBasis) -> sp.csr_array:
     return sp.csr_array(number_op(basis, 1) + number_op(basis, 2))
 
@@ -203,10 +192,6 @@ def fock_density(basis: TwoModeBasis, n1: int, n2: int) -> np.ndarray:
     i = basis.index(n1, n2)
     rho[i, i] = 1.0
     return rho
-
-
-def hermitize(rho: np.ndarray) -> np.ndarray:
-    return 0.5 * (rho + rho.conj().T)
 
 
 def check_density_matrix(rho: np.ndarray, *, trace_tol: float = 1e-8,

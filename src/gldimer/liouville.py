@@ -11,21 +11,24 @@ exactly trace preserving there.
 Two representations are provided:
 
 * the full superoperator on vec(rho) (column stacking), used by
-  `propagate` and as the tests' oracle, and
+  `propagate` and as the tests' oracle; `propagate` re-hermitizes the
+  state after every step, and
 * a block representation on the number-conserving coherence sector
-  (matrix elements <n1,n2|rho|m1,m2> with n1+n2 = m1+m2), written in
-  closed form from its matrix elements per particle-number sector and
-  used by `moment_trajectory` and the steady-state solve.  The generator
-  never mixes coherence grades (every term shifts the total occupation of
-  bra and ket sides equally), and every exported observable is number
-  conserving, so this block reproduces the full dynamics of those
-  observables exactly at a fraction of the cost.  This makes large
-  cutoffs affordable.
+  (matrix elements <n1,n2|rho|m1,m2> with n1+n2 = m1+m2), used by
+  `moment_trajectory`, `verify_attractor` and the steady-state solve.
+  The generator never mixes coherence grades (every term shifts the
+  total occupation of bra and ket sides equally), and every exported
+  observable is number conserving, so this block reproduces the full
+  dynamics of those observables exactly at a fraction of the cost.  This
+  makes large cutoffs affordable.
 
 The sector blocks of a density matrix are Hermitian, so the block
-representation also has real Hermitian coordinates (the real and
-imaginary parts of one triangle per block), in which the generator is a
-real matrix (`hermitian_generator`).
+representation packs each of them into real Hermitian coordinates (the
+diagonal and the real and imaginary parts of one triangle), in which the
+generator is a real matrix.  It is written in closed form from its
+complex matrix elements per particle-number sector and then mapped to
+these coordinates.  A state in them is Hermitian by construction, so
+block propagation needs no re-hermitization.
 """
 
 from __future__ import annotations
@@ -46,9 +49,7 @@ __all__ = [
     "SystemParams", "balanced_rates", "PropagationConfig", "Trajectory",
     "build_liouvillian", "apply_liouvillian", "propagate",
     "moment_trajectory", "NumberBlockSpace", "number_block_space",
-    "build_number_block_generator", "hermitian_generator",
-    "to_hermitian_coordinates", "from_hermitian_coordinates",
-    "boundary_monitor", "trajectory_to_csv",
+    "build_number_block_generator", "boundary_monitor", "trajectory_to_csv",
 ]
 
 TRAJECTORY_COLUMNS = ("t", "s_x", "s_y", "s_z", "n", "P", "Delta_nn",
@@ -119,17 +120,17 @@ def apply_liouvillian(rho: np.ndarray, params: SystemParams,
 
 @dataclass(frozen=True)
 class NumberBlockSpace:
-    """Indexing of the coherence-grade-0 sector.
+    """Indexing of the coherence-grade-0 sector in its packed layout, the
+    real Hermitian coordinates of `pack_block`.
 
-    Packed layout: density-matrix blocks rho[sector_N, sector_N] for
+    The sector holds the density-matrix blocks rho[sector_N, sector_N] for
     N = 0 .. 2*cutoff, each column-stacked, concatenated in order of N.
     Within sector N the states are ordered by n1 = lo_N .. lo_N + d_N - 1,
     lo_N = max(0, N - cutoff), so the entry <n1k, N - n1k|rho|n1b, N - n1b>
-    sits at offsets[N] + (n1k - lo_N) + (n1b - lo_N) * d_N.
-
-    Hermitian coordinates: a Hermitian packed vector v is carried by the
-    real vector x of the same layout with x = Re v on and above each
-    block's diagonal and x = Im v strictly below it (`lower`).
+    sits at offsets[N] + (n1k - lo_N) + (n1b - lo_N) * d_N.  Every block is
+    Hermitian, so that position carries the real part of the entry on and
+    above the block's diagonal and its imaginary part strictly below it
+    (`lower`): d_N^2 reals for a d_N x d_N block.
     """
 
     basis: TwoModeBasis
@@ -139,9 +140,9 @@ class NumberBlockSpace:
     sector_of: np.ndarray            # total N of every packed position
     n1_ket: np.ndarray               # site-1 occupation of the ket (row)
     n1_bra: np.ndarray               # site-1 occupation of the bra (column)
+    entries: np.ndarray              # flat index ket * dim + bra in rho
     diag_positions: np.ndarray       # packed positions of rho_ii
-    diag_states: np.ndarray          # flat state index for each diag position
-    herm_perm: np.ndarray            # packed transpose permutation
+    herm_perm: np.ndarray            # packed position of the transposed entry
     lower: np.ndarray                # positions strictly below the diagonal
     boundary_diag_positions: np.ndarray
 
@@ -172,77 +173,56 @@ def number_block_space(basis: TwoModeBasis) -> NumberBlockSpace:
     row, col = local % ds, local // ds
     n1_ket = lo[sector_of] + row
     n1_bra = lo[sector_of] + col
+    kets = flat(sector_of, n1_ket)
     diag_pos = np.flatnonzero(n1_ket == n1_bra)
-    diag_states = flat(sector_of[diag_pos], n1_ket[diag_pos])
-    on_boundary = np.isin(diag_states, basis.boundary)
     return NumberBlockSpace(
         basis=basis, sectors=sectors, offsets=offsets, size=size,
         sector_of=sector_of, n1_ket=n1_ket, n1_bra=n1_bra,
-        diag_positions=diag_pos, diag_states=diag_states,
+        entries=kets * basis.dim + flat(sector_of, n1_bra),
+        diag_positions=diag_pos,
         herm_perm=offsets[sector_of] + col + row * ds, lower=row > col,
-        boundary_diag_positions=diag_pos[on_boundary],
+        boundary_diag_positions=diag_pos[np.isin(kets[diag_pos],
+                                                 basis.boundary)],
     )
 
 
 def pack_block(rho: np.ndarray, space: NumberBlockSpace) -> np.ndarray:
-    parts = [rho[np.ix_(sec, sec)].ravel(order="F") for sec in space.sectors]
-    return np.concatenate(parts)
+    """Real Hermitian coordinates of the grade-0 blocks of rho; their
+    anti-Hermitian part is dropped."""
+    v = rho.ravel()[space.entries]
+    return np.where(space.lower, v.imag, v.real)
 
 
-def unpack_block(vec: np.ndarray, space: NumberBlockSpace) -> np.ndarray:
-    dim = space.basis.dim
-    rho = np.zeros((dim, dim), dtype=complex)
-    for n, sec in enumerate(space.sectors):
-        d = len(sec)
-        block = vec[space.offsets[n]:space.offsets[n + 1]].reshape((d, d), order="F")
-        rho[np.ix_(sec, sec)] = block
-    return rho
-
-
-def to_hermitian_coordinates(vec: np.ndarray,
-                             space: NumberBlockSpace) -> np.ndarray:
-    """Real coordinates x of a Hermitian packed vector (see
-    NumberBlockSpace); the anti-Hermitian part of vec is dropped."""
-    return np.where(space.lower, vec.imag, vec.real)
-
-
-def from_hermitian_coordinates(x: np.ndarray,
-                               space: NumberBlockSpace) -> np.ndarray:
-    """The Hermitian packed vector whose real coordinates are x."""
+def unpack_block(x: np.ndarray, space: NumberBlockSpace) -> np.ndarray:
+    """The Hermitian grade-0 density matrix with real coordinates x."""
     xt = x[space.herm_perm]
     imag = np.where(space.lower, x, -xt)
     imag[space.diag_positions] = 0.0
-    return np.where(space.lower, xt, x) + 1j * imag
+    dim = space.basis.dim
+    rho = np.zeros(dim * dim, dtype=complex)
+    rho[space.entries] = np.where(space.lower, xt, x) + 1j * imag
+    return rho.reshape(dim, dim)
 
 
-def hermitian_generator(gen: sp.csr_array,
-                        space: NumberBlockSpace) -> sp.csr_array:
-    """The real matrix that acts on Hermitian coordinates as `gen` acts on
-    the packed vectors they stand for.  `gen` must map Hermitian packed
-    vectors to Hermitian ones, as every Lindblad generator does; the
-    result keeps the sector block structure."""
+def _coordinate_map(space: NumberBlockSpace) -> sp.csr_array:
+    """The complex matrix T that takes real coordinates to the packed
+    entries they stand for: column p holds the weights of x_p in the entry
+    at p and in the one at its transposed position."""
     pos = np.arange(space.size)
     off = space.herm_perm != pos
-    # from_hermitian_coordinates as a matrix: column p holds the weights
-    # of x_p in v_p and in v at the transposed position
-    from_x = sp.csr_array(
+    return sp.csr_array(
         (np.concatenate((np.where(space.lower, 1j, 1.0),
                          np.where(space.lower[off], -1j, 1.0))),
          (np.concatenate((pos, space.herm_perm[off])),
           np.concatenate((pos, pos[off])))),
         shape=(space.size, space.size))
-    # Re(w v) is Re v or Im v
-    rows = sp.diags_array(np.where(space.lower, -1j, 1.0))
-    out = (rows @ gen @ from_x).real
-    out.eliminate_zeros()
-    return out
 
 
-@lru_cache(maxsize=8)
-def build_number_block_generator(params: SystemParams,
-                                 basis: TwoModeBasis) -> sp.csr_array:
-    """Generator restricted to the coherence-grade-0 sector, written from
-    its matrix elements in the packed layout.
+def _packed_generator(params: SystemParams,
+                      space: NumberBlockSpace) -> sp.csr_array:
+    """The complex generator on the packed entries of the grade-0 sector
+    (before the map to real coordinates), written from its matrix
+    elements.
 
     In sector N the Hamiltonian is tridiagonal in n1, with hopping
     -J sqrt((n1 + 1) n2) between n1 and n1 + 1 and the interaction
@@ -253,8 +233,7 @@ def build_number_block_generator(params: SystemParams,
     a2^dag rho a2 feeds sector N + 1 from N with weight
     sqrt((n2k + 1)(n2b + 1)).
     """
-    space = number_block_space(basis)
-    cutoff = basis.cutoff
+    cutoff = space.basis.cutoff
     J, U = params.J, params.U
     gl, gg = params.gamma_loss, params.gamma_gain
     tot, n1k, n1b = space.sector_of, space.n1_ket, space.n1_bra
@@ -298,33 +277,60 @@ def build_number_block_generator(params: SystemParams,
         shape=(space.size, space.size))
 
 
+def _real_generator(gen: sp.csr_array,
+                    space: NumberBlockSpace) -> sp.csr_array:
+    """The real matrix that acts on real coordinates as `gen` acts on the
+    packed entries they stand for.  `gen` must map Hermitian blocks to
+    Hermitian ones, as every Lindblad generator does; the result keeps the
+    sector block structure."""
+    # Re(w v) is Re v or Im v
+    rows = sp.diags_array(np.where(space.lower, -1j, 1.0))
+    out = (rows @ gen @ _coordinate_map(space)).real
+    out.eliminate_zeros()
+    # .real views the complex product's data with a stride; the compact
+    # copy frees that product and halves the cost of a matvec
+    return out.copy()
+
+
+@lru_cache(maxsize=8)
+def build_number_block_generator(params: SystemParams,
+                                 basis: TwoModeBasis) -> sp.csr_array:
+    """Generator of the coherence-grade-0 sector on its real Hermitian
+    coordinates: the real matrix R with
+    pack_block(L rho) = R @ pack_block(rho) for every Hermitian grade-0
+    rho, in the sector block structure of the packed layout."""
+    space = number_block_space(basis)
+    return _real_generator(_packed_generator(params, space), space)
+
+
 @lru_cache(maxsize=8)
 def _block_observable_weights(basis: TwoModeBasis):
-    """Weight vectors w with <O> = w . packed(rho) for the Bloch moments
-    and their symmetrized pair products."""
+    """Real weight vectors w with <O> = w . pack_block(rho) for the Bloch
+    moments and their symmetrized pair products: Re(T^T c) for the complex
+    weights c of the packed entries and the coordinate map T."""
     space = number_block_space(basis)
     ops = fock.bloch_operators(basis)
     pairs = fock._bloch_pair_products(basis)
+    to_entries = _coordinate_map(space).T
+    ket, bra = np.divmod(space.entries, basis.dim)
 
     def weights(op) -> np.ndarray:
-        w = np.empty(space.size, dtype=complex)
-        for n, sec in enumerate(space.sectors):
-            blk = np.asarray(op[sec][:, sec].todense())
-            w[space.offsets[n]:space.offsets[n + 1]] = blk.ravel(order="C")
-        return w
+        # <O> = sum O[bra, ket] rho[ket, bra]
+        return (to_entries @ op[bra, ket]).real
 
     firsts = tuple(weights(op) for op in ops)
     seconds = {key: weights(val) for key, val in pairs.items()}
     return firsts, seconds
 
 
-def block_moments(vec: np.ndarray, basis: TwoModeBasis) -> BlochMoments:
-    """Bloch moments evaluated directly on a packed grade-0 vector."""
+def block_moments(x: np.ndarray, basis: TwoModeBasis) -> BlochMoments:
+    """Bloch moments evaluated directly on the real coordinates x of a
+    grade-0 state."""
     firsts, seconds = _block_observable_weights(basis)
-    means = np.array([(w @ vec).real for w in firsts])
+    means = np.array([w @ x for w in firsts])
     delta = np.empty((4, 4))
     for (j, k), w in seconds.items():
-        val = (w @ vec).real - 2.0 * means[j] * means[k]
+        val = w @ x - 2.0 * means[j] * means[k]
         delta[j, k] = val
         delta[k, j] = val
     return BlochMoments(s_x=2 * means[0], s_y=2 * means[1], s_z=2 * means[2],
@@ -375,7 +381,7 @@ def _moments_to_arrays(ts, moment_list, masses):
 def boundary_monitor(boundary: np.ndarray, ceiling: float,
                      base_mass: float = 0.0):
     """A monitor for integrate_dp45 that raises TruncationOverflowError once
-    the boundary mass, base_mass plus the real parts of the packed state's
+    the boundary mass, base_mass plus the real parts of the state's
     diagonal entries at `boundary`, exceeds the ceiling.  The integrator
     calls it after every accepted step; call it at t = 0 to check the
     initial state."""
@@ -389,42 +395,44 @@ def boundary_monitor(boundary: np.ndarray, ceiling: float,
 
 
 def _integrate(y0: np.ndarray, t_final: float, gen: sp.csr_array,
-               herm_perm: np.ndarray, boundary: np.ndarray,
-               config: PropagationConfig):
-    """Integrate y' = gen y from a packed state, re-hermitizing after every
-    step (herm_perm maps each packed entry to its transpose) and aborting
-    once the diagonal entries at `boundary` carry more than the ceiling."""
+               boundary: np.ndarray, config: PropagationConfig,
+               on_step=None):
+    """Integrate y' = gen y, passing on_step to the integrator and aborting
+    once the diagonal entries at `boundary` carry more than the
+    ceiling."""
     monitor = boundary_monitor(boundary, config.truncation_ceiling)
     monitor(0.0, y0)
 
     def rhs(_t, v):
         return gen @ v
 
-    def hermitize_step(_t, v):
-        return 0.5 * (v + v[herm_perm].conj())
-
     return integrate_dp45(
         rhs, (0.0, t_final), y0,
         rtol=config.rtol, atol=config.atol, max_step=config.max_step,
         sample_times=sample_grid(t_final, config.sample_interval, 200),
-        on_step=hermitize_step, monitor=monitor,
+        on_step=on_step, monitor=monitor,
     )
 
 
 def propagate(rho0: np.ndarray, t_final: float, params: SystemParams,
               basis: TwoModeBasis,
               config: PropagationConfig = PropagationConfig()) -> Trajectory:
-    """Propagate a density matrix with the full vectorized generator.
+    """Propagate a density matrix with the full vectorized generator,
+    re-hermitizing the state after every step.
 
     Aborts with TruncationOverflowError when the probability on the
     boundary shell exceeds the configured ceiling.
     """
     fock.check_density_matrix(rho0)
     dim = basis.dim
+    transposed = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+
+    def hermitize_step(_t, v):
+        return 0.5 * (v + v[transposed].conj())
+
     result = _integrate(
         rho0.ravel(order="F"), t_final, build_liouvillian(params, basis),
-        np.arange(dim * dim).reshape(dim, dim).T.ravel(),
-        basis.boundary * dim + basis.boundary, config)
+        basis.boundary * dim + basis.boundary, config, hermitize_step)
     moments, masses = [], []
     for v in result.sample_ys:
         rho = v.reshape((dim, dim), order="F")
@@ -440,7 +448,8 @@ def propagate(rho0: np.ndarray, t_final: float, params: SystemParams,
 def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
                       basis: TwoModeBasis,
                       config: PropagationConfig = PropagationConfig()) -> Trajectory:
-    """Propagate on the number-conserving coherence block.
+    """Propagate on the real Hermitian coordinates of the number-conserving
+    coherence block.
 
     Exact for every recorded observable (all are number conserving); the
     returned rho_final contains the grade-0 part of the state only, which
@@ -451,10 +460,9 @@ def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
     bpos = space.boundary_diag_positions
     result = _integrate(
         pack_block(rho0, space), t_final,
-        build_number_block_generator(params, basis), space.herm_perm, bpos,
-        config)
-    moments = [block_moments(v, basis) for v in result.sample_ys]
-    masses = [float(np.sum(v[bpos].real)) for v in result.sample_ys]
+        build_number_block_generator(params, basis), bpos, config)
+    moments = [block_moments(x, basis) for x in result.sample_ys]
+    masses = [float(np.sum(x[bpos])) for x in result.sample_ys]
     arrays = _moments_to_arrays(result.sample_ts, moments, masses)
     return Trajectory(rho_final=unpack_block(result.y, space),
                       moments_final=moments[-1],

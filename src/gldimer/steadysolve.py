@@ -6,19 +6,20 @@ non-degenerate steady state carries no other coherences, so the solve runs
 on that sector's generator.  There it is block tridiagonal in the total
 particle number N = 0 .. 2*cutoff: sector N couples to itself, receives
 gain from N - 1 and loss from N + 1.  Every block rho_N is Hermitian and
-the generator preserves Hermiticity, so the solve runs in real Hermitian
-coordinates (the diagonal and the real and imaginary parts of one
-triangle, d_N^2 reals for a d_N x d_N block), where the generator is a
-real matrix of the same block structure.  The singular system is made
-square by replacing the equation for d rho_00/dt (implied by trace
-preservation of the rest) with the pin rho_00 = 1, which keeps that
-structure, and is solved by block elimination over the sectors (the
-matrix-continued-fraction method): one dense real LU factorization per
-sector, from the top sector down, followed by a few steps of iterative
-refinement only if needed.  The state is then mapped back to a complex
-density matrix, normalized to unit trace, and its residual is re-verified
-by an independent application of the full generator in matrix form,
-never trusted from the solver.
+the generator preserves Hermiticity; `liouville` packs the sector into
+real Hermitian coordinates (the diagonal and the real and imaginary parts
+of one triangle, d_N^2 reals for a d_N x d_N block) and builds the
+generator as a real matrix of the same block structure, so the solve and
+the propagations of `verify_attractor` run in real arithmetic.  The
+singular system is made square by replacing the equation for d rho_00/dt
+(implied by trace preservation of the rest) with the pin rho_00 = 1,
+which keeps that structure, and is solved by block elimination over the
+sectors (the matrix-continued-fraction method): one dense real LU
+factorization per sector, from the top sector down, followed by a few
+steps of iterative refinement only if needed.  The state is then
+normalized to unit trace and unpacked to a complex density matrix, and
+its residual is re-verified by an independent application of the full
+generator in matrix form, never trusted from the solver.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import scipy.sparse as sp
 from . import fock, liouville
 from .errors import ConvergenceError, TruncationOverflowError
 from .fock import TwoModeBasis
+from .ode import sample_grid
 from .system import SystemParams
 
 DIAGONAL_COLUMNS = ("n1", "n2", "p")
@@ -168,8 +170,7 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
         last = now
 
     space = liouville.number_block_space(basis)
-    gen = liouville.hermitian_generator(
-        liouville.build_number_block_generator(params, basis), space)
+    gen = liouville.build_number_block_generator(params, basis)
     lap("build")
     solve = _sector_eliminator(gen, space.offsets)
     b = np.zeros(space.size)
@@ -179,8 +180,7 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
     matvecs = 0
     while True:
         rho, adjustments, floor = _post_process(
-            liouville.unpack_block(liouville.from_hermitian_coordinates(
-                x / x[space.diag_positions].sum(), space), space),
+            liouville.unpack_block(x / x[space.diag_positions].sum(), space),
             config, space.sectors)
         lap("post_process")
         residual = float(np.max(np.abs(
@@ -278,10 +278,7 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
     rng = np.random.default_rng(seed)
     if config is None:
         config = liouville.PropagationConfig(truncation_ceiling=1e-3)
-    if sample_interval is None:
-        sample_interval = t_horizon / 40
-    n_pts = int(np.floor(t_horizon / sample_interval + 1e-9))
-    ts = np.arange(n_pts + 1) * sample_interval
+    ts = sample_grid(t_horizon, sample_interval, 40)
 
     from .ode import integrate_dp45
 
@@ -291,7 +288,7 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
     # the monitored state is rho_ss + delta(t)
     monitor = liouville.boundary_monitor(
         bpos, config.truncation_ceiling,
-        float(np.sum(liouville.pack_block(rho_ss, space)[bpos].real)))
+        float(np.sum(liouville.pack_block(rho_ss, space)[bpos])))
     distances = []
     rates = []
     for _ in range(n_perturbations):
@@ -306,10 +303,10 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
             lambda _t, y: gen @ y, (0.0, t_horizon), delta0,
             rtol=config.rtol, atol=config.atol, sample_times=ts,
             monitor=monitor)
-        deltas = [liouville.unpack_block(y, space) for y in res.sample_ys]
         ds = np.array([
-            0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T))))
-            for d in deltas
+            0.5 * np.sum(np.abs(np.linalg.eigvalsh(
+                liouville.unpack_block(y, space))))
+            for y in res.sample_ys
         ])
         distances.append(ds)
         half = len(ts) // 2

@@ -37,6 +37,8 @@ def test_annihilation_elements():
     assert a1[b.index(0, 0), b.index(1, 0)] == pytest.approx(1.0)
     a1d = fock.creation(b, 1)
     assert a1d[b.index(2, 0), b.index(1, 0)] == pytest.approx(np.sqrt(2))
+    with pytest.raises(ValueError):
+        fock.annihilation(b, 3)
 
 
 def test_commutator_below_cutoff():
@@ -58,16 +60,6 @@ def test_sparse_operator_columns():
             e = np.zeros(b.dim)
             e[j] = 1.0
             assert np.array_equal(op @ e, dense[:, j])
-
-
-def test_mode_operator_dispatch():
-    b = fock.build_basis(3)
-    assert (fock.mode_operator(b, 2, "number").toarray()
-            == fock.number_op(b, 2).toarray()).all()
-    with pytest.raises(ValueError):
-        fock.mode_operator(b, 3, "number")
-    with pytest.raises(ValueError):
-        fock.mode_operator(b, 1, "destroy")
 
 
 def test_hamiltonian_elements():

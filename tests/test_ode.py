@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from gldimer import bbr, fock, liouville, meanfield
+from gldimer import bbr, fock, liouville, meanfield, steadysolve
 from gldimer.errors import StepUnderflowError
 from gldimer.ode import integrate_dp45
 from gldimer.system import SystemParams
@@ -109,7 +109,20 @@ def _propagate_run(interval):
                                     truncation_ceiling=1.0))
 
 
-@pytest.mark.parametrize("run", [_bbr_run, _gpe_run, _propagate_run])
+def _attractor_run(interval):
+    basis = fock.build_basis(3)
+    params = SystemParams(J=1.0, U=0.0, gamma=0.5, n0=2)
+    rho_ss = steadysolve.solve_steady(
+        params, basis,
+        steadysolve.SteadySolveConfig(truncation_ceiling=1.0)).rho
+    return steadysolve.verify_attractor(
+        rho_ss, params, basis, t_horizon=1.0, sample_interval=interval,
+        n_perturbations=1,
+        config=liouville.PropagationConfig(truncation_ceiling=1.0))
+
+
+@pytest.mark.parametrize("run", [_bbr_run, _gpe_run, _propagate_run,
+                                 _attractor_run])
 def test_sample_grid_of_callers(run):
     assert np.allclose(run(0.25).ts, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert np.allclose(run(0.4).ts, [0.0, 0.4, 0.8, 1.0])

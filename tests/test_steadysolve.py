@@ -82,8 +82,7 @@ def test_sector_eliminator_solves_pinned_system():
     basis = fock.build_basis(5)
     params = SystemParams.from_g(g=0.7, gamma=0.8, n0=3)
     space = liouville.number_block_space(basis)
-    gen = liouville.hermitian_generator(
-        liouville.build_number_block_generator(params, basis), space)
+    gen = liouville.build_number_block_generator(params, basis)
     a = sp.lil_array(gen)
     a[0, :] = 0.0
     a[0, 0] = 1.0
