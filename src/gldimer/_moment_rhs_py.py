@@ -76,3 +76,72 @@ def moment_rhs(y, J, U, gamma_gain, gamma_loss, out=None):
     out[12] = -Dyn*x6 + x15 + x32 - x33 + x34 + x35 + (0.25)*x36 + (0.25)*x37
     out[13] = 2*gg + x10 - x12 + x17 + x20 + 2*x33 + 2*x35 + x36 - x37
     return out
+
+
+def moment_jacobian(y, J, U, gamma_gain, gamma_loss):
+    """Jacobian of moment_rhs: the 14 x 14 matrix d out[i] / d y[j] at
+    fixed U, as a list of rows, and the column d out[i] / dU, as a
+    list.
+
+    y is any sequence of 14 numbers (an ndarray is unpacked to Python
+    floats first)."""
+    if isinstance(y, np.ndarray):
+        y = y.tolist()
+    gg = gamma_gain
+    gl = gamma_loss
+    sx, sy, sz, n, Dxx, Dxy, Dxz, Dxn, Dyy, Dyz, Dyn, Dzz, Dzn, Dnn = y
+    x0 = gg - gl
+    x1 = (0.5)*x0
+    x2 = U*sz
+    x3 = -x2
+    x4 = U*sy
+    x5 = -x4
+    x6 = 2*U
+    x7 = 2*J
+    x8 = U*sx + x7
+    x9 = -x7
+    x10 = gg + gl
+    x11 = (0.5)*x10
+    x12 = (0.25)*gg
+    x13 = Dxy*x6
+    x14 = (0.25)*x10
+    x15 = 2*x2
+    x16 = Dxz*U
+    x17 = -Dyz*U
+    x18 = (0.25)*x0
+    x19 = Dzz*U
+    x20 = Dzn*U
+    x21 = Dxy*sz
+    rows = [
+        [x1, x3, x5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -x6, 0.0, 0.0, 0.0, 0.0],
+        [x2, x1, x8, 0.0, 0.0, 0.0, x6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, x9, x1, x11, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, x11, x1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, -Dxz*x6, (0.25)*gl - x12 - x13, x14, x0, -x15, -2*x4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [x16, x17, U*(Dxx - Dyy), 0.0, x2, x0, x8, 0.0, x3, x5, 0.0, 0.0, 0.0, 0.0],
+        [x18, -x19, x17, 0.0, 0.0, x9, x0, x14, 0.0, x3, 0.0, x5, 0.0, 0.0],
+        [x11, -x20, -Dyn*U, 0.0, 0.0, 0.0, x10, x0, 0.0, 0.0, x3, 0.0, x5, 0.0],
+        [Dyz*x6, 0.0, (0.25)*gl - x12 + x13, x14, 0.0, x15, 0.0, 0.0, x0, 2*x8, 0.0, 0.0, 0.0, 0.0],
+        [x19, x18, x16, 0.0, 0.0, 0.0, x2, 0.0, x9, x0, x14, x8, 0.0, 0.0],
+        [x20, x11, Dxn*U, 0.0, 0.0, 0.0, 0.0, x2, 0.0, x10, x0, 0.0, x8, 0.0],
+        [0.0, 0.0, x18, x14, 0.0, 0.0, 0.0, 0.0, 0.0, -4*J, 0.0, x0, x11, 0.0],
+        [0.0, 0.0, x11, x1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, x9, x10, x0, x14],
+        [0.0, 0.0, x0, x10, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2*x10, x0],
+    ]
+    d_du = [
+        -2*Dyz - sy*sz,
+        2*Dxz + sx*sz,
+        0.0,
+        0.0,
+        -2*Dxz*sy - 2*x21,
+        Dxx*sz + Dxz*sx - Dyy*sz - Dyz*sy,
+        -Dyz*sz - Dzz*sy,
+        -Dyn*sz - Dzn*sy,
+        2*Dyz*sx + 2*x21,
+        Dxz*sz + Dzz*sx,
+        Dxn*sz + Dzn*sx,
+        0.0,
+        0.0,
+        0.0,
+    ]
+    return rows, d_du

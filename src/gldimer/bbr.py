@@ -16,12 +16,15 @@ Two interaction modes exist:
 
 The right-hand side is the generated pure-Python kernel
 `_moment_rhs_py.moment_rhs`, which takes any sequence of 14 floats and
-writes into any mutable 14-slot `out`.  The steady-state root search
-holds its iterate, residuals and Newton steps as lists of Python floats
-and calls the kernel with them: the same IEEE operations in the same
-order as on numpy scalars, so the results are bit for bit those of the
-array form, at about a third of the cost per evaluation.  Only the
-Jacobian solve uses numpy.
+writes into any mutable 14-slot `out`; its generated twin
+`_moment_rhs_py.moment_jacobian` gives the analytic Jacobian at fixed U
+and the derivative in U, from which the constant-g Jacobian follows by
+the chain rule through U = g/(n-1).  The steady-state root search holds
+its iterate, residuals and Newton steps as lists of Python floats and
+calls the kernel with them: the same IEEE operations in the same order as
+on numpy scalars, so the results are bit for bit those of the array form,
+at about a third of the cost per evaluation.  numpy builds the Jacobian
+matrix and solves the Newton system.
 """
 
 from __future__ import annotations
@@ -201,15 +204,49 @@ def integrate(initial: MomentState, t_final: float, params: SystemParams,
 
 @dataclass(frozen=True)
 class RootResult:
+    """Outcome of one root search and the work it took.
+
+    kernel_calls counts residual evaluations that ran the kernel,
+    sentinel_hits those inside the constant-g singular band (residual
+    sentinel or zero Jacobian), jacobian_evals the analytic Jacobians,
+    newton_steps the Newton systems solved and backtracks the rejected
+    line-search trials.  fallback names the heaviest fallback the search
+    used: "hybr" (the trust-region root finder after a stall) over
+    "lstsq" (a least-squares Newton step on a singular Jacobian) over
+    None."""
+
     state: MomentState | None
     converged: bool
     physical: bool
     residual: float
     iterations: int
+    kernel_calls: int = 0
+    jacobian_evals: int = 0
+    newton_steps: int = 0
+    backtracks: int = 0
+    fallback: str | None = None
+    sentinel_hits: int = 0
 
     @property
     def found(self) -> bool:
         return self.converged and self.physical
+
+
+# per-sweep sums of the RootResult work counts (GammaSweep.work)
+WORK_KEYS = ("searches", "kernel_calls", "jacobian_evals", "newton_steps",
+             "backtracks", "hybr_fallbacks", "lstsq_fallbacks",
+             "sentinel_hits")
+
+
+def _tally(work: dict, res: RootResult) -> RootResult:
+    """Add the work of one search to the sums in work; returns res."""
+    work["searches"] += 1
+    for key in ("kernel_calls", "jacobian_evals", "newton_steps",
+                "backtracks", "sentinel_hits"):
+        work[key] += getattr(res, key)
+    if res.fallback is not None:
+        work[f"{res.fallback}_fallbacks"] += 1
+    return res
 
 
 def _classify(y) -> bool:
@@ -231,34 +268,51 @@ def _max_abs(v) -> float:
     return max(map(abs, v))
 
 
-def _guarded_rhs(params: SystemParams, mode: BbrMode):
-    """The residual function of the root search: the moment derivative as
-    a list, or 1e6 in every component where constant g makes U = g/(n-1)
-    singular (the search then steps away from n = 1)."""
+class _Residual:
+    """The residual function of the root search and its Jacobian, counting
+    their evaluations.
 
-    def fun(y):
+    The residual is the moment derivative as a list, or 1e6 in every
+    component where constant g makes U = g/(n-1) singular (the search then
+    steps away from n = 1); there the residual is constant, so its
+    Jacobian is zero."""
+
+    def __init__(self, params: SystemParams, mode: BbrMode):
+        self.params = params
+        self.mode = mode
+        self.consts = (float(params.J), float(params.gamma_gain),
+                       float(params.gamma_loss))
+        self.kernel_calls = 0
+        self.jacobian_evals = 0
+        self.sentinel_hits = 0
+
+    def __call__(self, y):
         out = [0.0] * 14
         try:
-            moment_rhs(y, params, mode, out)
+            moment_rhs(y, self.params, self.mode, out)
         except InteractionSingularityError:
+            self.sentinel_hits += 1
             return [1e6] * 14
+        self.kernel_calls += 1
         return out
 
-    return fun
-
-
-def _fd_jacobian(fun, y, f0) -> np.ndarray:
-    """Forward-difference Jacobian of fun at the float list y, f0 = fun(y).
-
-    Column i is (fun(y + h e_i) - f0) / h with h = 1e-6 max(|y_i|, 1),
-    formed on floats in the order the array expression would use."""
-    cols = []
-    for i in range(len(y)):
-        h = 1e-6 * max(abs(y[i]), 1.0)
-        yp = list(y)
-        yp[i] += h
-        cols.append([(a - b) / h for a, b in zip(fun(yp), f0)])
-    return np.array(cols).T
+    def jacobian(self, y) -> np.ndarray:
+        """d residual / d y as a 14 x 14 array.  In constant-g mode the n
+        column carries the chain-rule term df/dU * dU/dn, with
+        dU/dn = -g/(n-1)^2."""
+        self.jacobian_evals += 1
+        try:
+            u = float(_resolve_u(y, self.mode))
+        except InteractionSingularityError:
+            self.sentinel_hits += 1
+            return np.zeros((14, 14))
+        J, gain, loss = self.consts
+        rows, d_du = _kernel.moment_jacobian(y, J, u, gain, loss)
+        if isinstance(self.mode, ConstantG):
+            du_dn = -float(self.mode.g) / (float(y[3]) - 1.0) ** 2
+            for row, d in zip(rows, d_du):
+                row[3] += d * du_dn
+        return np.array(rows)
 
 
 def _residual_floor(y, params: SystemParams) -> float:
@@ -280,18 +334,22 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
     """Damped Newton iteration on the moment equations, with a
     trust-region fallback on stagnation.
 
-    Convergence requires the residual infinity norm to fall below
-    residual_tol or, when the state's magnitude puts floating-point noise
-    above that, below the evaluation noise floor.  A converged root is
-    classified physical iff its purity is <= 1 + 1e-8 and all covariance
-    diagonals are >= -1e-8; unphysical roots are reported distinctly
-    (converged=True, physical=False).
+    Both the Newton step and the fallback (scipy's `hybr`, after five
+    stalled iterations) use the generated analytic Jacobian; a singular
+    Jacobian (as in the constant-g singular band, where it is zero) gets
+    a least-squares step.  Convergence requires the residual infinity
+    norm to fall below residual_tol or, when the state's magnitude puts
+    floating-point noise above that, below the evaluation noise floor.  A
+    converged root is classified physical iff its purity is <= 1 + 1e-8
+    and all covariance diagonals are >= -1e-8; unphysical roots are
+    reported distinctly (converged=True, physical=False).  The result
+    carries the search's work counts (see RootResult).
 
     The iterate, residuals and steps are lists of floats (never modified
-    in place, so they are shared rather than copied); numpy only solves
-    the Newton system.
+    in place, so they are shared rather than copied); numpy only builds
+    and solves the Newton system.
     """
-    fun = _guarded_rhs(params, mode)
+    fun = _Residual(params, mode)
 
     def tol_at(y):
         return max(residual_tol, _residual_floor(y, params))
@@ -299,18 +357,21 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
     y = initial_guess.vector.tolist()
     f = fun(y)
     best_y, best_norm = y, _max_abs(f)
-    iterations = 0
+    iterations = newton_steps = backtracks = 0
+    fallback = None
     stall = 0
     for iterations in range(1, max_iterations + 1):
         norm = _max_abs(f)
         if norm < tol_at(y):
             break
-        jac = _fd_jacobian(fun, y, f)
+        jac = fun.jacobian(y)
         neg_f = -np.array(f)
+        newton_steps += 1
         try:
             step = np.linalg.solve(jac, neg_f).tolist()
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(jac, neg_f, rcond=None)[0].tolist()
+            fallback = fallback or "lstsq"
         improved = False
         for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             y_new = [a + lam * b for a, b in zip(y, step)]
@@ -319,6 +380,7 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
                 y, f = y_new, f_new
                 improved = True
                 break
+            backtracks += 1
         new_norm = _max_abs(f)
         if new_norm < best_norm:
             best_y, best_norm = y, new_norm
@@ -327,8 +389,9 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
         else:
             stall = 0
         if stall >= 5:
-            sol = scipy.optimize.root(fun, best_y, method="hybr",
-                                      options={"xtol": 1e-13})
+            fallback = "hybr"
+            sol = scipy.optimize.root(fun, best_y, jac=fun.jacobian,
+                                      method="hybr", options={"xtol": 1e-13})
             if sol.success:
                 y = sol.x.tolist()
                 f = fun(y)
@@ -339,13 +402,15 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
                 break  # no further progress available
 
     residual = _max_abs(fun(best_y))
-    if residual >= tol_at(best_y):
-        return RootResult(state=None, converged=False, physical=False,
-                          residual=residual, iterations=iterations)
-    physical = _classify(best_y)
-    return RootResult(state=MomentState.from_vector(best_y), converged=True,
-                      physical=physical, residual=residual,
-                      iterations=iterations)
+    converged = residual < tol_at(best_y)
+    physical = converged and _classify(best_y)
+    return RootResult(
+        state=MomentState.from_vector(best_y) if converged else None,
+        converged=converged, physical=physical, residual=residual,
+        iterations=iterations, kernel_calls=fun.kernel_calls,
+        jacobian_evals=fun.jacobian_evals, newton_steps=newton_steps,
+        backtracks=backtracks, fallback=fallback,
+        sentinel_hits=fun.sentinel_hits)
 
 
 def u0_steady_guess(params: SystemParams) -> MomentState:
@@ -393,6 +458,7 @@ class GammaSweep:
     points: list
     boundary: float | None   # gamma where the branch ends (None: not found)
     tail: list = field(default_factory=list)  # refined off-grid points near it
+    work: dict = field(default_factory=dict)  # WORK_KEYS sums over its searches
 
     def rows(self):
         return [p.row() for p in self.points]
@@ -402,18 +468,22 @@ class GammaSweep:
                 if p.exists]
 
 
-def _seeded_root(params, mode, guess, residual_tol):
-    res = steady_root_search(params, mode, guess, residual_tol=residual_tol)
+def _seeded_root(params, mode, guess, residual_tol, work=None):
+    """Root from guess, else by continuation in the interaction from the
+    analytic anchor; the work of every search is added to work."""
+    def search(m, start):
+        res = steady_root_search(params, m, start, residual_tol=residual_tol)
+        return res if work is None else _tally(work, res)
+
+    res = search(mode, guess)
     if res.found:
         return res
-    # continuation in the interaction from the analytic anchor
     strength = mode.u if isinstance(mode, FixedU) else mode.g
     if strength == 0.0:
         return res
     state = u0_steady_guess(params)
     for frac in (0.25, 0.5, 0.75, 1.0):
-        res = steady_root_search(params, type(mode)(strength * frac), state,
-                                 residual_tol=residual_tol)
+        res = search(type(mode)(strength * frac), state)
         if not res.found:
             return res
         state = res.state
@@ -431,22 +501,24 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
     number blows up toward the existence boundary) grid gaps are bridged
     with refined intermediate steps, recorded in `tail`.  The branch
     endpoint is resolved to `boundary_resolution`; grid points beyond it
-    are marked non-existing.
+    are marked non-existing.  `work` sums the searches' work counts.
     """
     grid = np.asarray(sorted(float(x) for x in gammas))
     if len(grid) == 0 or grid[0] <= 0:
         raise ValueError("gamma grid must be positive and non-empty")
     points: list[SweepPoint] = []
     tail: list[SweepPoint] = []
+    work = dict.fromkeys(WORK_KEYS, 0)
 
     params, mode = _params_at(grid[0], g, n0, J, mode_kind)
-    res = _seeded_root(params, mode, u0_steady_guess(params), residual_tol)
+    res = _seeded_root(params, mode, u0_steady_guess(params), residual_tol,
+                       work)
     if not res.found:
         return GammaSweep(
             g=g, mode_kind=mode_kind,
             points=[SweepPoint(gamma=float(x), g=g, exists=False, state=None)
                     for x in grid],
-            boundary=grid[0], tail=[])
+            boundary=grid[0], tail=[], work=work)
     points.append(SweepPoint(gamma=grid[0], g=g, exists=True,
                              state=res.state))
     gamma, state = float(grid[0]), res.state
@@ -459,8 +531,8 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
         while gamma < target:
             trial = min(gamma + step, target)
             params, mode = _params_at(trial, g, n0, J, mode_kind)
-            res = steady_root_search(params, mode, state,
-                                     residual_tol=residual_tol)
+            res = _tally(work, steady_root_search(
+                params, mode, state, residual_tol=residual_tol))
             if res.found:
                 gamma, state = trial, res.state
                 if trial == target:
@@ -482,7 +554,12 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
         points.append(SweepPoint(gamma=float(rest), g=g, exists=False,
                                  state=None))
     return GammaSweep(g=g, mode_kind=mode_kind, points=points,
-                      boundary=boundary, tail=tail)
+                      boundary=boundary, tail=tail, work=work)
+
+
+def sum_work(sweeps) -> dict:
+    """WORK_KEYS sums over several sweeps."""
+    return {key: sum(s.work[key] for s in sweeps) for key in WORK_KEYS}
 
 
 def sweep_to_csv(sweeps, path) -> None:

@@ -396,6 +396,7 @@ def _run_fig4(config: ScenarioConfig, writer: _Writer,
     for sweep in sweeps:
         rows.extend(sweep.rows())
         manifest.diagnostics[f"boundary_g{sweep.g}"] = sweep.boundary
+    manifest.diagnostics["root_search"] = bbr.sum_work(sweeps)
     writer.csv("fig4_steady_components.csv", bbr.SWEEP_COLUMNS, rows)
 
 
@@ -422,9 +423,13 @@ def _run_fig5(config: ScenarioConfig, writer: _Writer,
         by_g = {sweep.g: sweep for sweep in sweeps}
         g_grid = np.linspace(0.0, config["g_grid_max"],
                              config["g_grid_steps"])[1:]  # g = 0 is analytic
-        writer.csv(map_name, _PURITY_COLUMNS, _purity_rows(
-            by_g[g] if g in by_g else _sweep(config, g, mode)
-            for g in g_grid))
+        for g in g_grid:
+            if g not in by_g:
+                by_g[g] = _sweep(config, g, mode)
+        writer.csv(map_name, _PURITY_COLUMNS,
+                   _purity_rows(by_g[g] for g in g_grid))
+        manifest.diagnostics[f"root_search_{mode}"] = bbr.sum_work(
+            by_g.values())
 
 
 def _run_custom_propagate(config: ScenarioConfig, writer: _Writer,

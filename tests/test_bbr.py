@@ -46,22 +46,110 @@ def test_moment_rhs_list_and_array_agree_bitwise(mode):
         assert _bits(scalars) == _bits(ref)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_fd_jacobian_matches_array_forward_difference(mode):
+def _point(n, shift):
+    """A moment vector near the anchor at n0 = 20, with every component
+    distinct from it, and particle number n."""
     params = SystemParams.from_g(g=0.5, gamma=0.8, n0=20)
     y = bbr.u0_steady_guess(params).vector
-    y[0] += 0.37    # make every component distinct from the anchor
-    f0 = bbr.moment_rhs(y, params, mode)
+    y += shift * np.linspace(0.3, 1.1, 14)
+    y[3] = n
+    return y
+
+
+# (mode, point): two points per mode, one of them the constant-g point near
+# n = 2, where the chain-rule term dU/dn = -g/(n-1)^2 is large
+JACOBIAN_CASES = [
+    (bbr.FixedU(0.3), _point(9.0, 0.37)),
+    (bbr.FixedU(0.3), _point(2.1, -1.3)),
+    (bbr.ConstantG(0.5), _point(9.0, 0.37)),
+    (bbr.ConstantG(0.5), _point(2.05, -1.3)),
+]
+
+
+@pytest.mark.parametrize("mode, y", JACOBIAN_CASES, ids=[
+    "fixed-U", "fixed-U-n2.1", "constant-g", "constant-g-n2.05"])
+def test_analytic_jacobian_matches_central_difference(mode, y):
+    params = SystemParams.from_g(g=0.5, gamma=0.8, n0=20)
+    jac = bbr._Residual(params, mode).jacobian(y.tolist())
     ref = np.empty((14, 14))
     for i in range(14):
-        h = 1e-6 * max(abs(y[i]), 1.0)
-        yp = y.copy()
+        h = 1e-5 * max(abs(y[i]), 1.0)
+        yp, ym = y.copy(), y.copy()
         yp[i] += h
-        ref[:, i] = (bbr.moment_rhs(yp, params, mode) - f0) / h
-    fun = bbr._guarded_rhs(params, mode)
-    jac = bbr._fd_jacobian(fun, y.tolist(), fun(y.tolist()))
+        ym[i] -= h
+        ref[:, i] = (bbr.moment_rhs(yp, params, mode)
+                     - bbr.moment_rhs(ym, params, mode)) / (2 * h)
     assert jac.shape == (14, 14)
-    assert _bits(np.ascontiguousarray(jac)) == _bits(ref)
+    assert np.max(np.abs(jac - ref)) < 1e-6 * max(1.0, np.max(np.abs(ref)))
+    if isinstance(mode, bbr.ConstantG):
+        # the chain-rule term is what the n column would miss at fixed U
+        u = mode.g / (y[3] - 1.0)
+        fixed = bbr._Residual(params, bbr.FixedU(u)).jacobian(y.tolist())
+        assert np.max(np.abs(fixed[:, 3] - ref[:, 3])) > 0.1
+        assert np.array_equal(np.delete(fixed, 3, axis=1),
+                              np.delete(jac, 3, axis=1))
+
+
+def test_singular_band_has_a_zero_jacobian_and_no_error_escapes():
+    # just inside the constant-g singular band the residual is the 1e6
+    # sentinel, a constant, so its Jacobian is zero
+    params = SystemParams(J=1.0, U=0.0, gamma=0.1, n0=2)
+    mode = bbr.ConstantG(0.5)
+    guess = bbr.MomentState(s=np.array([0.5, 0.0, 0.0]), n=1.0 + 0.5e-6,
+                            delta=np.eye(4))
+    y = guess.vector
+    fun = bbr._Residual(params, mode)
+    assert fun(y.tolist()) == [1e6] * 14
+    # an ndarray input (as the hybr fallback passes) gets the same answers
+    assert fun(y) == [1e6] * 14
+    assert not np.any(fun.jacobian(y.tolist()))
+    assert not np.any(fun.jacobian(y))
+    assert fun.kernel_calls == 0 and fun.sentinel_hits == 4
+    res = bbr.steady_root_search(params, mode, guess)
+    assert isinstance(res, bbr.RootResult)
+    assert res.sentinel_hits > 0
+
+
+def test_stalled_search_reports_the_hybr_fallback(monkeypatch):
+    # from a pure state along x the damped Newton steps stall five times,
+    # and the trust-region fallback, on the analytic Jacobian, finds the root
+    calls = []
+    rhs = bbr.moment_rhs
+
+    def counting(y, params, mode, out=None):
+        calls.append(y)
+        return rhs(y, params, mode, out)
+
+    monkeypatch.setattr(bbr, "moment_rhs", counting)
+    params, mode = bbr._params_at(0.5, 0.5, 100, 1.0, "fixed-U")
+    res = bbr.steady_root_search(params, mode,
+                                 bbr.pure_state_moments(np.pi / 2, 0.0, 20))
+    assert res.found
+    assert res.fallback == "hybr"
+    assert res.newton_steps >= 5
+    assert res.jacobian_evals > res.newton_steps  # hybr used the Jacobian
+    assert res.backtracks > 0
+    assert res.kernel_calls == len(calls) and res.sentinel_hits == 0
+
+
+def test_sweep_sums_the_work_of_its_searches(monkeypatch):
+    results = []
+    search = bbr.steady_root_search
+
+    def recording(*args, **kwargs):
+        results.append(search(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bbr, "steady_root_search", recording)
+    sweep = bbr.sweep_gamma(np.arange(0.2, 1.3, 0.1), 0.5, 100, "fixed-U")
+    assert set(sweep.work) == set(bbr.WORK_KEYS)
+    assert sweep.work["searches"] == len(results)
+    for key in ("kernel_calls", "jacobian_evals", "newton_steps",
+                "backtracks", "sentinel_hits"):
+        assert sweep.work[key] == sum(getattr(r, key) for r in results)
+    assert sweep.work["hybr_fallbacks"] == sum(r.fallback == "hybr"
+                                               for r in results)
+    assert bbr.sum_work([sweep, sweep])["searches"] == 2 * len(results)
 
 
 def test_constant_g_kernel_receives_python_floats(monkeypatch):
@@ -80,28 +168,6 @@ def test_constant_g_kernel_receives_python_floats(monkeypatch):
     bbr.moment_rhs(y, params, bbr.FixedU(np.float64(params.U)))
     assert len(seen) == 2
     assert all(type(v) is float for args in seen for v in args)
-
-
-def test_fd_column_crossing_singularity_keeps_sentinel():
-    # base point just inside the constant-g singular band: the residual is
-    # the 1e6 sentinel; only the n column steps out of the band
-    params = SystemParams(J=1.0, U=0.0, gamma=0.1, n0=2)
-    mode = bbr.ConstantG(0.5)
-    y = bbr.MomentState(s=np.array([0.5, 0.0, 0.0]), n=1.0 + 0.5e-6,
-                        delta=np.eye(4)).vector
-    fun = bbr._guarded_rhs(params, mode)
-    f0 = fun(y.tolist())
-    assert f0 == [1e6] * 14
-    jac = bbr._fd_jacobian(fun, y.tolist(), f0)
-    h = 1e-6 * max(abs(y[3]), 1.0)
-    assert y[3] + h > bbr._N_SINGULAR
-    yp = y.copy()
-    yp[3] += h
-    col = (bbr.moment_rhs(yp, params, mode) - np.full(14, 1e6)) / h
-    assert _bits(jac[:, 3]) == _bits(col)
-    assert not np.any(np.delete(jac, 3, axis=1))
-    # an ndarray input (as the hybr fallback passes) gets the same sentinel
-    assert fun(y) == [1e6] * 14
 
 
 def test_max_abs_propagates_nan_like_numpy():

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gldimer import cli
+from gldimer import bbr, cli
 from gldimer.errors import ConfigError
 
 
@@ -111,6 +111,9 @@ def test_fig4_schema_and_boundary(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["boundary_g0.5"] == pytest.approx(
         0.999, abs=5e-3)
+    work = manifest["diagnostics"]["root_search"]
+    assert set(work) == set(bbr.WORK_KEYS)
+    assert work["searches"] > 0 and work["kernel_calls"] > 0
 
 
 def test_custom_propagate_schema(tmp_path):

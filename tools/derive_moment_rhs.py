@@ -17,9 +17,11 @@ factorization
 
 which closes the hierarchy.  Everything is then rewritten in the Bloch
 variables (s_x, s_y, s_z, n) and their covariances Delta_jk, and the
-resulting expressions are emitted as
+resulting expressions, and their derivatives, are emitted as
 
-    src/gldimer/_moment_rhs_py.py   the kernel `moment_rhs`
+    src/gldimer/_moment_rhs_py.py   the kernel `moment_rhs` and its
+                                    Jacobian `moment_jacobian` (the 14 x 14
+                                    matrix at fixed U and the U column)
     src/gldimer/_closure_defects.py table of the factorized triples per
                                     component, for exact defect accounting
                                     in tests
@@ -28,13 +30,15 @@ The script verifies symbolically, before writing anything, that
  * the four first-moment equations contain no factorization at all and
    equal the known closed forms,
  * the factorization only ever enters through terms proportional to U,
- * every emitted expression is real, and
- * at U = 0 every covariance equation is linear in the state.
+ * every emitted expression is real,
+ * at U = 0 every covariance equation is linear in the state, and
+ * the emitted `moment_jacobian`, run on symbols, equals the derivative of
+   the emitted `moment_rhs` run on symbols.
 
 Run it from anywhere as
 
-    python tools/derive_moment_rhs.py           # rewrite the two files
-    python tools/derive_moment_rhs.py --check   # exit 1 if either is stale
+    python tools/derive_moment_rhs.py           # rewrite the generated files
+    python tools/derive_moment_rhs.py --check   # exit 1 if one is stale
 """
 
 from __future__ import annotations
@@ -335,7 +339,26 @@ def derive() -> dict[str, str]:
     for (j, k) in pair_keys:
         order.append((f"D{NAMES[j]}{NAMES[k]}", d_delta[(j, k)]))
 
-    return render_files(order, defects, pair_keys)
+    files = render_files(order, defects, pair_keys, state)
+    check_emitted_jacobian(files["_moment_rhs_py.py"], state)
+    print("gate 3 passed: the emitted Jacobian is the derivative of the "
+          "emitted right-hand side")
+    return files
+
+
+def check_emitted_jacobian(source: str, state) -> None:
+    """Run the emitted kernel module on symbols and assert that
+    `moment_jacobian` equals sp.diff of `moment_rhs`, entry by entry."""
+    namespace = {}
+    exec(compile(source, "_moment_rhs_py.py", "exec"), namespace)
+    rhs = namespace["moment_rhs"](list(state), J, U, gg, gl, [0] * 14)
+    rows, d_du = namespace["moment_jacobian"](list(state), J, U, gg, gl)
+    for i, f in enumerate(rhs):
+        for j, v in enumerate(state):
+            diff = sp.expand(rows[i][j] - sp.diff(f, v))
+            assert diff.is_zero, f"d out[{i}]/d y[{j}] mismatch: {diff}"
+        diff = sp.expand(d_du[i] - sp.diff(f, U))
+        assert diff.is_zero, f"d out[{i}]/dU mismatch: {diff}"
 
 
 _HEADER_VARS = ["sx", "sy", "sz", "n", "Dxx", "Dxy", "Dxz", "Dxn",
@@ -361,9 +384,14 @@ def _code(expr) -> str:
     return _FloatRationalPrinter().doprint(expr)
 
 
-def render_files(order, defects, pair_keys) -> dict[str, str]:
+def render_files(order, defects, pair_keys, state) -> dict[str, str]:
     exprs = [e for _, e in order]
     subs_list, reduced = sp.cse(exprs, optimizations="basic")
+    # the Jacobian: d f / d y at fixed U, row by row, then d f / dU
+    jac = [sp.diff(e, v) for e in exprs for v in state]
+    jac += [sp.diff(e, U) for e in exprs]
+    jac_subs, jac_reduced = sp.cse(jac, optimizations="basic")
+    size = len(state)
 
     py_lines = [
         '"""Closed equations of motion for the first and second Bloch moments',
@@ -395,6 +423,34 @@ def render_files(order, defects, pair_keys) -> dict[str, str]:
     py_lines += [f"    {sym} = {_code(val)}" for sym, val in subs_list]
     py_lines += [f"    out[{i}] = {_code(e)}" for i, e in enumerate(reduced)]
     py_lines.append("    return out")
+    py_lines += [
+        "",
+        "",
+        "def moment_jacobian(y, J, U, gamma_gain, gamma_loss):",
+        '    """Jacobian of moment_rhs: the 14 x 14 matrix d out[i] / d y[j] at',
+        "    fixed U, as a list of rows, and the column d out[i] / dU, as a",
+        "    list.",
+        "",
+        "    y is any sequence of 14 numbers (an ndarray is unpacked to Python",
+        '    floats first)."""',
+        "    if isinstance(y, np.ndarray):",
+        "        y = y.tolist()",
+        "    gg = gamma_gain",
+        "    gl = gamma_loss",
+        f"    {', '.join(_HEADER_VARS)} = y",
+    ]
+    py_lines += [f"    {sym} = {_code(val)}" for sym, val in jac_subs]
+    # zeros as float literals: numpy converts an all-float list faster
+    jac_code = ["0.0" if e == 0 else _code(e) for e in jac_reduced]
+    py_lines.append("    rows = [")
+    for i in range(size):
+        entries = ", ".join(jac_code[i * size:(i + 1) * size])
+        py_lines.append(f"        [{entries}],")
+    py_lines.append("    ]")
+    py_lines.append("    d_du = [")
+    py_lines += [f"        {c}," for c in jac_code[size * size:]]
+    py_lines.append("    ]")
+    py_lines.append("    return rows, d_du")
 
     # defect table: component index -> [(complex coeff over U, triple), ...]
     defect_lines = [
@@ -422,7 +478,8 @@ def render_files(order, defects, pair_keys) -> dict[str, str]:
         defect_lines.append(f"    {4 + idx}: [" + ", ".join(entries) + "],")
     defect_lines.append("}")
 
-    print(f"common subexpressions: {len(subs_list)}; "
+    print(f"common subexpressions: {len(subs_list)} (Jacobian: "
+          f"{len(jac_subs)}); "
           f"triples per component: "
           f"{[len(defects[k]) for k in pair_keys]}")
     return {name: "\n".join(lines) + "\n" for name, lines in (
@@ -451,7 +508,7 @@ def main(argv=None) -> int:
         return 0
     for name, text in files.items():
         (root / name).write_text(text)
-    print(f"wrote the kernel and the defect table under {root}")
+    print(f"wrote the kernel, its Jacobian and the defect table under {root}")
     return 0
 
 
