@@ -8,14 +8,13 @@ and steady-state root search (`bbr`), the two-mode mean-field equation
 scenario runner (`cli`).
 """
 
-from .system import SystemParams, balanced_rates
+from .system import SystemParams
 from .fock import TwoModeBasis, build_basis
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SystemParams",
-    "balanced_rates",
     "TwoModeBasis",
     "build_basis",
     "__version__",

@@ -53,6 +53,8 @@ SWEEP_COLUMNS = ("gamma", "g", "exists", "s_x", "s_y", "s_z", "n", "P",
 
 _N_SINGULAR = 1.0 + 1e-6
 _EPS = float(np.finfo(float).eps)
+# Newton iterations a root search may take before it reports its best point
+MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -329,8 +331,7 @@ def _residual_floor(y, params: SystemParams) -> float:
 
 def steady_root_search(params: SystemParams, mode: BbrMode,
                        initial_guess: MomentState, *,
-                       residual_tol: float = 1e-10,
-                       max_iterations: int = 200) -> RootResult:
+                       residual_tol: float = 1e-10) -> RootResult:
     """Damped Newton iteration on the moment equations, with a
     trust-region fallback on stagnation.
 
@@ -360,7 +361,7 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
     iterations = newton_steps = backtracks = 0
     fallback = None
     stall = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         norm = _max_abs(f)
         if norm < tol_at(y):
             break

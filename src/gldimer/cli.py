@@ -3,6 +3,9 @@ sweeps, and writes figure-ready CSV datasets plus a JSON run manifest.
 
 Usage:  gldimer <scenario> [--config FILE] [--out DIR] [--tolerance X]
 
+Only fig3-steady-distributions, custom-propagate and custom-steady, whose
+engines read it, take --tolerance (or the `tolerance` key).
+
 Scenarios: fig1-nonosci-sweep, fig2-bloch-trajectories,
 fig3-steady-distributions, fig4-bbr-steady-components, fig5-purity-maps,
 custom-propagate, custom-steady.
@@ -43,8 +46,8 @@ SCENARIOS = (
 # key -> (parser, default); None default means required
 _COMMON = {
     "J": (float, 1.0),
-    "tolerance": (float, 1e-8),
 }
+_TOLERANCE = {"tolerance": (float, 1e-8)}
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -72,6 +75,7 @@ _SCHEMAS: dict[str, dict] = {
     },
     "fig3-steady-distributions": {
         **_COMMON,
+        **_TOLERANCE,
         "n0": (int, 5),
         "gamma": (float, 0.5),
         "g": (float, 0.5),
@@ -99,6 +103,7 @@ _SCHEMAS: dict[str, dict] = {
     },
     "custom-propagate": {
         **_COMMON,
+        **_TOLERANCE,
         "n0": (int, 5),
         "gamma": (float, 0.5),
         "g": (float, 0.0),
@@ -111,6 +116,7 @@ _SCHEMAS: dict[str, dict] = {
     },
     "custom-steady": {
         **_COMMON,
+        **_TOLERANCE,
         "n0": (int, 5),
         "gamma": (float, 0.5),
         "g": (float, 0.0),
@@ -489,8 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="key = value parameter file")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (default: GLDIMER_OUT or cwd)")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the engine tolerance")
+        if "tolerance" in _SCHEMAS[name]:
+            p.add_argument("--tolerance", type=float, default=None,
+                           help="override the engine tolerance")
     return parser
 
 
@@ -504,9 +511,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
             overrides = parse_config(text, args.scenario)
-        if args.tolerance is not None:
-            if args.tolerance <= 0:
-                raise ConfigError("tolerance: must be > 0")
+        if getattr(args, "tolerance", None) is not None:
             overrides["tolerance"] = args.tolerance
         out_root = Path(os.environ.get("GLDIMER_OUT", "."))
         out_dir = args.out if args.out is not None else out_root

@@ -1,16 +1,16 @@
 """Analytic results for the non-interacting limit (U = 0).
 
 The first-moment equations close on themselves at U = 0 and are solved in
-closed form: a damped oscillation around a constant steady vector.  On top
-of that solution sit the two non-oscillating pure initial states, the
-steady-state purity and one-body eigenstructure, and the geometric
-single-site steady distributions.
+closed form: a damped oscillation around a constant steady vector, whose
+purity is the steady-state purity.  On top of that solution sit the two
+non-oscillating pure initial states and the geometric single-site steady
+distributions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, atan2, hypot, pi, sin, sqrt
+from math import acos, atan2, hypot, pi, sqrt
 
 import numpy as np
 
@@ -37,10 +37,6 @@ class SteadyMoments:
     @property
     def reduced_s_y(self) -> float:
         return self.s_y / self.n
-
-    @property
-    def reduced_s_z(self) -> float:
-        return self.s_z / self.n
 
     @property
     def purity(self) -> float:
@@ -198,52 +194,6 @@ def critical_gamma(n0: int, J: float = 1.0) -> float:
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
     return 2 * J * (n0 + 2) / (n0 + 1)
-
-
-@dataclass(frozen=True)
-class SteadyPurity:
-    exact: float
-    approximate: float
-    physical: bool
-
-
-def steady_purity(params: SystemParams) -> SteadyPurity:
-    """Purity of the U = 0 steady state: the exact closed form and the
-    quadratic approximation gamma^2/(4J^2).  `physical` flags exact <= 1."""
-    J, g, n0 = params.J, params.gamma, params.n0
-    x = g**2 / (4 * J**2)
-    exact = x * ((n0 + 2) ** 2 + x) / ((n0 + 2) + x) ** 2
-    return SteadyPurity(exact=exact, approximate=x,
-                        physical=exact <= 1.0 + 1e-8)
-
-
-def steady_purity_rate_form(params: SystemParams) -> float:
-    """Equivalent purity expression in terms of the half-sum/difference
-    rates; used to cross-check the balanced form."""
-    J, gm, gp = params.J, params.gamma_minus, params.gamma_plus
-    return (4 * J**2 + gm**2) / (gm + 4 * J**2 / (gp + gm)) ** 2
-
-
-def steady_spdm_eigen(params: SystemParams):
-    """Eigenvalues (1 +- sqrt(P))/2 and closed-form eigenvectors of the
-    normalized one-body matrix of the U = 0 steady state.
-
-    Returns (eigenvalues descending, eigenvectors as columns).  The leading
-    eigenvector carries a positive tunneling current from site 2 to site 1.
-    """
-    J, gm = params.J, params.gamma_minus
-    p = steady_purity(params).exact
-    r = sqrt(4 * J**2 + gm**2)
-    lam = np.array([0.5 * (1 + sqrt(p)), 0.5 * (1 - sqrt(p))])
-    u1 = np.array([sqrt(0.5 * (1 - gm / r)) * 1j, sqrt(0.5 * (1 + gm / r))])
-    u2 = np.array([sqrt(0.5 * (1 + gm / r)) * -1j, sqrt(0.5 * (1 - gm / r))])
-    return lam, np.column_stack([u1, u2])
-
-
-def tunneling_current(u: np.ndarray, J: float) -> float:
-    """2 J r1 r2 sin(beta1 - beta2) for a single-particle state
-    (r1 e^{i beta1}, r2 e^{i beta2}); positive means site 2 -> site 1."""
-    return 2 * J * abs(u[0]) * abs(u[1]) * sin(np.angle(u[0]) - np.angle(u[1]))
 
 
 @dataclass(frozen=True)

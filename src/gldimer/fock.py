@@ -45,11 +45,6 @@ class TwoModeBasis:
             raise ValueError(f"occupation ({n1}, {n2}) outside basis")
         return n1 * (self.cutoff + 1) + n2
 
-    def occupations(self, i: int) -> tuple[int, int]:
-        if not (0 <= i < self.dim):
-            raise ValueError(f"index {i} outside basis")
-        return divmod(i, self.cutoff + 1)
-
     @cached_property
     def n1_of(self) -> np.ndarray:
         """Site-1 occupation of every flat index."""
@@ -287,26 +282,3 @@ def truncation_mass(rho: np.ndarray, basis: TwoModeBasis) -> float:
     """Probability on the boundary shell n1 = cutoff or n2 = cutoff."""
     return float(np.sum(np.diagonal(rho).real[basis.boundary]))
 
-
-@dataclass(frozen=True)
-class SingleParticleDM:
-    """Reduced one-body matrix sigma[j, k] = <a_k^dagger a_j> with its
-    eigendecomposition (eigenvalues sorted descending)."""
-
-    sigma: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, matching eigenvalues
-
-
-def single_particle_dm(rho: np.ndarray, basis: TwoModeBasis) -> SingleParticleDM:
-    m = bloch_moments(rho, basis)
-    if m.n <= 1e-12:
-        raise DegenerateStateError("one-body matrix undefined at zero particle number")
-    sigma = 0.5 * np.array(
-        [[m.n - m.s_z, m.s_x + 1j * m.s_y],
-         [m.s_x - 1j * m.s_y, m.n + m.s_z]]
-    )
-    evals, evecs = np.linalg.eigh(sigma)
-    order = np.argsort(evals)[::-1]
-    return SingleParticleDM(sigma=sigma, eigenvalues=evals[order],
-                            eigenvectors=evecs[:, order])

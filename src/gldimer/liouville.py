@@ -43,13 +43,13 @@ from . import fock
 from .errors import TruncationOverflowError
 from .fock import TwoModeBasis, BlochMoments
 from .ode import integrate_dp45, sample_grid
-from .system import SystemParams, balanced_rates
+from .system import SystemParams
 
 __all__ = [
-    "SystemParams", "balanced_rates", "PropagationConfig", "Trajectory",
+    "PropagationConfig", "Trajectory",
     "build_liouvillian", "apply_liouvillian", "propagate",
     "moment_trajectory", "NumberBlockSpace", "number_block_space",
-    "build_number_block_generator", "boundary_monitor", "trajectory_to_csv",
+    "build_number_block_generator", "boundary_monitor",
 ]
 
 TRAJECTORY_COLUMNS = ("t", "s_x", "s_y", "s_z", "n", "P", "Delta_nn",
@@ -62,7 +62,6 @@ class PropagationConfig:
 
     rtol: float = 1e-8
     atol: float = 1e-10
-    max_step: float = np.inf
     sample_interval: float | None = None  # default: t_final / 200
     truncation_ceiling: float = 1e-6
 
@@ -408,7 +407,7 @@ def _integrate(y0: np.ndarray, t_final: float, gen: sp.csr_array,
 
     return integrate_dp45(
         rhs, (0.0, t_final), y0,
-        rtol=config.rtol, atol=config.atol, max_step=config.max_step,
+        rtol=config.rtol, atol=config.atol,
         sample_times=sample_grid(t_final, config.sample_interval, 200),
         on_step=on_step, monitor=monitor,
     )
@@ -468,9 +467,3 @@ def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
                       moments_final=moments[-1],
                       n_steps=result.n_steps, n_rejected=result.n_rejected,
                       n_rhs=result.n_rhs, **arrays)
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    from .io import write_csv
-
-    write_csv(path, TRAJECTORY_COLUMNS, traj.rows())

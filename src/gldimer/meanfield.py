@@ -135,9 +135,3 @@ def integrate_gpe(psi0: np.ndarray, t_final: float, J: float, g: float,
         n_mf=np.array([norm_squared(c) for c in cs]),
         bloch=np.array([bloch_embedding(c) for c in cs]),
     )
-
-
-def trajectory_to_csv(traj: GpeTrajectory, path) -> None:
-    from .io import write_csv
-
-    write_csv(path, CSV_COLUMNS, traj.rows())

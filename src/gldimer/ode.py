@@ -8,7 +8,7 @@ Works on real or complex flat state vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 from typing import Callable, Sequence
 
@@ -56,7 +56,6 @@ class OdeResult:
     n_steps: int = 0
     n_rejected: int = 0
     n_rhs: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
@@ -102,8 +101,6 @@ def integrate_dp45(
     *,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    max_step: float = np.inf,
-    first_step: float | None = None,
     sample_times: Sequence[float] | None = None,
     on_step: Callable[[float, np.ndarray], np.ndarray] | None = None,
     monitor: Callable[[float, np.ndarray], None] | None = None,
@@ -152,12 +149,9 @@ def integrate_dp45(
         res.sample_ys = np.array(sample_ys)
         return res
 
-    if first_step is not None:
-        h = float(first_step)
-    else:
-        h = _initial_step(rhs, t, y, f, rtol, atol)
-        res.n_rhs += 2
-    h = min(h, max_step, abs(t1 - t0))
+    h = _initial_step(rhs, t, y, f, rtol, atol)
+    res.n_rhs += 2
+    h = min(h, abs(t1 - t0))
 
     # stage derivatives, one row each; row 0 holds f(t, y)
     k = np.empty((7,) + np.shape(f), dtype=np.result_type(y, f))
@@ -200,7 +194,7 @@ def integrate_dp45(
                 _MAX_FACTOR, _SAFETY * err_norm ** -0.2)
             # grow from the unclamped candidate when the step was clamped
             # onto a sample time, otherwise from the step actually taken
-            h = min(max_step, max(h, h_eff * factor) if h_eff < h else h * factor)
+            h = max(h, h_eff * factor) if h_eff < h else h * factor
             h = max(h, h_min)
         else:
             res.n_rejected += 1

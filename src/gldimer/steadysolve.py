@@ -58,6 +58,7 @@ class SteadySolveConfig:
 @dataclass
 class SteadySolution:
     rho: np.ndarray
+    moments: fock.BlochMoments       # of rho
     residual: float                  # max|L(rho)| after post-processing
     matvecs: int                     # refinement products a @ x
     truncation_mass: float
@@ -75,14 +76,6 @@ class SteadySolution:
                 "phase_seconds": self.phase_seconds,
                 "n_sectors": self.n_sectors,
                 "max_block_order": self.max_block_order}
-
-    @property
-    def moments(self):
-        return self._moments
-
-    def attach_moments(self, basis: TwoModeBasis):
-        self._moments = fock.bloch_moments(self.rho, basis)
-        return self
 
 
 def _sector_eliminator(gen: sp.csr_array, offsets: np.ndarray):
@@ -206,14 +199,13 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
             f"(residual was {residual:.3e})")
 
     lap("verify")
-    sol = SteadySolution(
-        rho=rho, residual=residual, matvecs=matvecs,
-        truncation_mass=mass, eigenvalue_floor=floor,
+    return SteadySolution(
+        rho=rho, moments=fock.bloch_moments(rho, basis), residual=residual,
+        matvecs=matvecs, truncation_mass=mass, eigenvalue_floor=floor,
         adjustments=adjustments, wall_time=time.monotonic() - t0,
         phase_seconds=seconds, n_sectors=len(space.sectors),
         max_block_order=int(np.max(np.diff(space.offsets))),
     )
-    return sol.attach_moments(basis)
 
 
 def _post_process(rho_raw: np.ndarray, config: SteadySolveConfig,
@@ -252,10 +244,6 @@ class AttractorReport:
     distances: np.ndarray        # (n_perturbations, len(ts))
     fitted_rates: np.ndarray     # decay rate per perturbation
     perturbation_scale: float
-
-
-def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho_a - rho_b))))
 
 
 def _block_trace_distances(xs: np.ndarray,
@@ -351,18 +339,3 @@ def steady_outputs(sol: SteadySolution, basis: TwoModeBasis):
         "truncation_mass": sol.truncation_mass,
         "eigenvalue_floor": sol.eigenvalue_floor,
     }
-
-
-def export_steady_state(sol: SteadySolution, basis: TwoModeBasis,
-                        csv_path, json_path) -> None:
-    """Full diagonal as CSV plus a JSON summary."""
-    from .io import write_csv, write_json
-
-    rows, summary = steady_outputs(sol, basis)
-    write_csv(csv_path, DIAGONAL_COLUMNS, rows)
-    write_json(json_path, {
-        **summary,
-        "matvecs": sol.matvecs,
-        "adjustments": sol.adjustments,
-        "wall_time_s": sol.wall_time,
-    })

@@ -11,23 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def balanced_rates(gamma: float, n0: int) -> tuple[float, float, float, float]:
-    """Return (gamma_gain, gamma_loss, gamma_minus, gamma_plus).
-
-    gamma_minus = (gamma_loss - gamma_gain)/2 = gamma/(n0+2) and
-    gamma_plus = (gamma_loss + gamma_gain)/2 = gamma*(n0+1)/(n0+2).
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
-    gamma_gain = gamma * n0 / (n0 + 2)
-    gamma_loss = gamma
-    gamma_minus = gamma / (n0 + 2)
-    gamma_plus = gamma * (n0 + 1) / (n0 + 2)
-    return gamma_gain, gamma_loss, gamma_minus, gamma_plus
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Tunneling J, on-site interaction U, gain-loss strength gamma and the

@@ -15,8 +15,12 @@ def run_cli(args):
 def test_parse_config_defaults_echoed(tmp_path):
     cfg = cli.resolve_config("fig2-bloch-trajectories", {}, tmp_path)
     # every schema key is present in the resolved configuration
-    for key in ("J", "n0", "gamma", "g", "t_final", "samples", "tolerance"):
+    for key in ("J", "n0", "gamma", "g", "t_final", "samples"):
         assert key in cfg.values
+    # fig2's engines take no tolerance, so it has no such key
+    assert "tolerance" not in cfg.values
+    steady = cli.resolve_config("custom-steady", {}, tmp_path)
+    assert steady["tolerance"] == 1e-8
 
 
 def test_parse_config_rejects_unknown_key():
@@ -144,6 +148,15 @@ def test_custom_steady_manifest_reports_the_solve(tmp_path):
     assert diag["matvecs"] == 0 and diag["residual"] < 1e-10
 
 
+# trajectory files and their headers, per scenario
+_TRAJECTORY_HEADERS = {
+    "fig2-bloch-trajectories": (
+        "fig2_gpe_ground.csv", "t,re_c1,im_c1,re_c2,im_c2,phi,theta,n_mf"),
+    "custom-propagate": (
+        "trajectory.csv", "t,s_x,s_y,s_z,n,P,Delta_nn,truncation_mass"),
+}
+
+
 @pytest.mark.parametrize("scenario", cli.SCENARIOS)
 def test_scenario_runs_on_its_defaults(tmp_path, scenario):
     out = tmp_path / "out"
@@ -151,6 +164,9 @@ def test_scenario_runs_on_its_defaults(tmp_path, scenario):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scenario"] == scenario
     assert manifest["files"]
+    if scenario in _TRAJECTORY_HEADERS:
+        name, header = _TRAJECTORY_HEADERS[scenario]
+        assert (out / name).read_text().splitlines()[0] == header
 
 
 def test_unknown_scenario_rejected():
@@ -159,9 +175,21 @@ def test_unknown_scenario_rejected():
 
 
 def test_bad_tolerance_flag(tmp_path):
-    code = run_cli(["fig1-nonosci-sweep", "--out", tmp_path,
-                    "--tolerance", "-1"])
+    code = run_cli(["custom-steady", "--out", tmp_path, "--tolerance", "-1"])
     assert code == 2
+
+
+def test_tolerance_only_where_an_engine_reads_it(tmp_path):
+    # fig1's closed forms take no tolerance: the flag is a usage error and
+    # the config key an unknown key
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["fig1-nonosci-sweep", "--out", tmp_path,
+                 "--tolerance", "1e-6"])
+    assert exc.value.code == 2
+    cfgf = tmp_path / "c.cfg"
+    cfgf.write_text("tolerance = 1e-6\n")
+    assert run_cli(["fig1-nonosci-sweep", "--config", cfgf,
+                    "--out", tmp_path]) == 2
 
 
 @pytest.mark.parametrize("scenario, key, value", [

@@ -133,75 +133,38 @@ def test_critical_gamma():
     assert cf.critical_gamma(1, 1.0) == pytest.approx(3.0)
 
 
+def _rate_form_purity(p):
+    """Purity of the U = 0 steady state written in the half-sum and
+    half-difference rates, independently of the moment form."""
+    J, gm, gp = p.J, p.gamma_minus, p.gamma_plus
+    return (4 * J**2 + gm**2) / (gm + 4 * J**2 / (gp + gm)) ** 2
+
+
 def test_steady_purity_forms():
-    sp = cf.steady_purity(P_REF)
-    assert sp.exact == pytest.approx(0.5564, abs=1e-3)
-    assert sp.approximate == pytest.approx(0.5625)
-    assert sp.physical
-    # the two closed forms agree for arbitrary parameters
+    assert cf.steady_alpha(P_REF).purity == pytest.approx(0.5564, abs=1e-3)
+    # the moment form agrees with the rate form for arbitrary parameters
     rng = np.random.default_rng(3)
     for _ in range(20):
         p = SystemParams(J=float(rng.uniform(0.5, 2)), U=0.0,
                          gamma=float(rng.uniform(0.01, 2)),
                          n0=int(rng.integers(2, 300)))
-        assert cf.steady_purity(p).exact == pytest.approx(
-            cf.steady_purity_rate_form(p), rel=1e-12)
+        assert cf.steady_alpha(p).purity == pytest.approx(
+            _rate_form_purity(p), rel=1e-12)
 
 
 def test_steady_purity_limits():
-    # approximate form reaches 1 at gamma = 2J for large particle numbers
+    # the purity reaches 1 at gamma = 2J for large particle numbers
     p = SystemParams(J=1.0, U=0.0, gamma=2.0, n0=10**6)
-    assert cf.steady_purity(p).approximate == pytest.approx(1.0)
+    assert cf.steady_alpha(p).purity == pytest.approx(1.0, abs=1e-5)
     p0 = SystemParams(J=1.0, U=0.0, gamma=0.0, n0=100)
-    assert cf.steady_purity(p0).exact == 0.0
-    assert cf.steady_purity(p0).approximate == 0.0
+    assert cf.steady_alpha(p0).purity == 0.0
 
 
 def test_steady_purity_unphysical_flag():
+    # past the critical gain-loss strength the constant solution has a
+    # purity above 1
     p = SystemParams(J=1.0, U=0.0, gamma=2.1, n0=10**4)
-    assert not cf.steady_purity(p).physical
-
-
-def test_spdm_eigen_closed_form():
-    lam, u = cf.steady_spdm_eigen(P_REF)
-    assert lam[0] + lam[1] == pytest.approx(1.0)
-    p = cf.steady_purity(P_REF).exact
-    assert lam[0] == pytest.approx(0.5 * (1 + np.sqrt(p)))
-    assert abs(np.vdot(u[:, 0], u[:, 1])) < 1e-14
-    assert np.linalg.norm(u[:, 0]) == pytest.approx(1.0)
-    assert np.linalg.norm(u[:, 1]) == pytest.approx(1.0)
-    # leading eigenvector carries current from the gain site to the loss site
-    assert cf.tunneling_current(u[:, 0], P_REF.J) > 0
-    assert cf.tunneling_current(u[:, 1], P_REF.J) < 0
-
-
-def test_spdm_eigen_matches_numeric_diagonalization():
-    a = cf.steady_alpha(P_REF)
-    sigma = 0.5 * np.array([[a.n - a.s_z, a.s_x + 1j * a.s_y],
-                            [a.s_x - 1j * a.s_y, a.n + a.s_z]])
-    evals, evecs = np.linalg.eigh(sigma)
-    lam, u = cf.steady_spdm_eigen(P_REF)
-    assert evals[::-1] / a.n == pytest.approx(lam, abs=1e-12)
-    v = evecs[:, 1] * np.exp(-1j * np.angle(evecs[1, 1]))
-    assert v == pytest.approx(u[:, 0], abs=1e-12)
-
-
-def test_spdm_eigen_orthonormal_across_parameters():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        p = SystemParams(J=float(rng.uniform(0.5, 2)), U=0.0,
-                         gamma=float(rng.uniform(0.01, 1.9)),
-                         n0=int(rng.integers(2, 500)))
-        lam, u = cf.steady_spdm_eigen(p)
-        assert abs(np.vdot(u[:, 0], u[:, 1])) < 1e-13
-        assert lam[0] + lam[1] == pytest.approx(1.0)
-
-
-def test_spdm_eigen_large_n_limit():
-    p = SystemParams(J=1.0, U=0.0, gamma=1.0, n0=10**6)
-    _lam, u = cf.steady_spdm_eigen(p)
-    assert u[:, 0] == pytest.approx(np.array([1j, 1]) / np.sqrt(2), abs=1e-5)
-    assert u[:, 1] == pytest.approx(np.array([-1j, 1]) / np.sqrt(2), abs=1e-5)
+    assert cf.steady_alpha(p).purity > 1 + 1e-8
 
 
 def test_single_mode_steady():

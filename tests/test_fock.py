@@ -28,7 +28,8 @@ def test_index_roundtrip(cutoff, data):
     b = fock.build_basis(cutoff)
     n1 = data.draw(st.integers(0, cutoff))
     n2 = data.draw(st.integers(0, cutoff))
-    assert b.occupations(b.index(n1, n2)) == (n1, n2)
+    i = b.index(n1, n2)
+    assert (b.n1_of[i], b.n2_of[i]) == (n1, n2)
 
 
 def test_annihilation_elements():
@@ -160,28 +161,20 @@ def test_total_number_distribution_product_geometric():
     assert q[:15] == pytest.approx(expected, abs=2e-5)
 
 
-def test_single_particle_dm_pure_and_mixed():
-    b = fock.build_basis(8)
-    rho = fock.density_from_state(fock.coherent_state(b, np.pi / 2, 0.0, 6))
-    spdm = fock.single_particle_dm(rho, b)
-    assert spdm.eigenvalues / 6 == pytest.approx([1.0, 0.0], abs=1e-12)
-    mixed = 0.5 * (fock.fock_density(b, 1, 0) + fock.fock_density(b, 0, 1))
-    spdm2 = fock.single_particle_dm(mixed, b)
-    assert spdm2.eigenvalues == pytest.approx([0.5, 0.5], abs=1e-12)
-
-
 @given(st.integers(0, 10**6))
 @settings(max_examples=25, deadline=None)
 def test_spdm_eigen_purity_identity(seed):
-    # eigenvalues of sigma / <n> are (1 +- sqrt(P)) / 2 for any state
+    # eigenvalues of the one-body matrix sigma[j, k] = <a_k^dagger a_j>
+    # over <n> are (1 +- sqrt(P)) / 2 for any state
     rng = np.random.default_rng(seed)
     b = fock.build_basis(6)
     rho = random_density(b, rng)
     m = fock.bloch_moments(rho, b)
     p = fock.purity(m)
     assert p <= 1 + 1e-8
-    spdm = fock.single_particle_dm(rho, b)
-    lam = spdm.eigenvalues / m.n
+    sigma = 0.5 * np.array([[m.n - m.s_z, m.s_x + 1j * m.s_y],
+                            [m.s_x - 1j * m.s_y, m.n + m.s_z]])
+    lam = np.linalg.eigvalsh(sigma)[::-1] / m.n
     assert lam == pytest.approx([(1 + np.sqrt(p)) / 2, (1 - np.sqrt(p)) / 2],
                                 abs=1e-10)
 

@@ -3,6 +3,7 @@ import pytest
 
 from gldimer import closedform, fock, liouville
 from gldimer.errors import TruncationOverflowError
+from gldimer.io import write_csv
 from gldimer.system import SystemParams
 
 from conftest import random_density
@@ -246,6 +247,7 @@ def test_propagation_config_validation():
         liouville.PropagationConfig(rtol=-1.0)
 
 
+
 def test_trajectory_csv_schema(tmp_path, small_setup):
     basis, params = small_setup
     rho0 = fock.density_from_state(fock.coherent_state(basis, 1.0, 0.0, 3))
@@ -253,6 +255,7 @@ def test_trajectory_csv_schema(tmp_path, small_setup):
                                       truncation_ceiling=5e-2)
     traj = liouville.propagate(rho0, 2.0, params, basis, cfg)
     path = tmp_path / "traj.csv"
-    liouville.trajectory_to_csv(traj, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,s_x,s_y,s_z,n,P,Delta_nn,truncation_mass"
+    write_csv(path, liouville.TRAJECTORY_COLUMNS, traj.rows())
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,s_x,s_y,s_z,n,P,Delta_nn,truncation_mass"
+    assert all(len(line.split(",")) == 8 for line in lines[1:])

@@ -54,7 +54,7 @@ def test_step_underflow_raises():
 
     with pytest.raises(StepUnderflowError):
         integrate_dp45(rhs, (0.0, 1.0), np.array([0.0]), rtol=1e-13,
-                       atol=1e-14, max_step=1.0)
+                       atol=1e-14)
 
 
 def test_on_step_hook_applied():
@@ -79,7 +79,7 @@ def test_monitor_abort():
 
     with pytest.raises(Abort):
         integrate_dp45(lambda t, y: y * 0, (0.0, 1.0), np.array([1.0]),
-                       rtol=1e-8, atol=1e-10, monitor=monitor, max_step=0.1)
+                       rtol=1e-8, atol=1e-10, monitor=monitor)
 
 
 def test_rejects_bad_tolerances():

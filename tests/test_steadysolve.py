@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from gldimer import closedform as cf, fock, liouville, steadysolve
 from gldimer.errors import ConvergenceError, TruncationOverflowError
+from gldimer.io import write_csv, write_json
 from gldimer.system import SystemParams
 
 
@@ -55,6 +56,10 @@ def test_reduction_routes_agree():
     assert np.max(np.abs(lv @ sol.rho.ravel(order="F"))) < 1e-10
 
 
+def _trace_distance(rho_a, rho_b):
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho_a - rho_b))))
+
+
 @pytest.mark.parametrize("g, gamma", [(0.0, 0.5), (0.5, 0.5), (0.3, 3.0),
                                       (2.0, 1.9)])
 def test_matches_dense_null_vector(g, gamma):
@@ -72,7 +77,7 @@ def test_matches_dense_null_vector(g, gamma):
         v /= np.linalg.norm(v)
     ref = v.reshape((basis.dim,) * 2, order="F")
     ref = ref / np.trace(ref)
-    assert steadysolve.trace_distance(sol.rho, ref) < 1e-10
+    assert _trace_distance(sol.rho, ref) < 1e-10
 
 
 def test_sector_eliminator_solves_pinned_system():
@@ -237,9 +242,12 @@ def test_attractor_perturbation_respects_ceiling():
 
 
 def test_export_files(tmp_path, fig3_steady, basis24):
+    # written as the CLI writes them
+    rows, summary = steadysolve.steady_outputs(fig3_steady, basis24)
     csv_path = tmp_path / "diag.csv"
     json_path = tmp_path / "summary.json"
-    steadysolve.export_steady_state(fig3_steady, basis24, csv_path, json_path)
+    write_csv(csv_path, steadysolve.DIAGONAL_COLUMNS, rows)
+    write_json(json_path, summary)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "n1,n2,p"
     assert len(lines) == basis24.dim + 1

@@ -1,10 +1,15 @@
 import pytest
 
-from gldimer.system import SystemParams, balanced_rates
+from gldimer.system import SystemParams
+
+
+def _rates(gamma, n0):
+    p = SystemParams(gamma=gamma, n0=n0)
+    return p.gamma_gain, p.gamma_loss, p.gamma_minus, p.gamma_plus
 
 
 def test_balanced_rates_reference_values():
-    gg, gl, gm, gp = balanced_rates(1.5, 100)
+    gg, gl, gm, gp = _rates(1.5, 100)
     assert gg == pytest.approx(1.5 * 100 / 102)
     assert gg == pytest.approx(1.470588, abs=1e-6)
     assert gl == 1.5
@@ -13,21 +18,14 @@ def test_balanced_rates_reference_values():
 
 
 def test_balanced_rates_zero():
-    assert balanced_rates(0.0, 7) == (0.0, 0.0, 0.0, 0.0)
+    assert _rates(0.0, 7) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_balanced_rates_large_n_limit():
-    gg, gl, gm, gp = balanced_rates(1.5, 10**6)
+    gg, gl, gm, gp = _rates(1.5, 10**6)
     assert gg == pytest.approx(1.5, abs=1e-5)
     assert gm == pytest.approx(0.0, abs=1e-5)
     assert gp == pytest.approx(1.5, abs=1e-5)
-
-
-def test_balanced_rates_validation():
-    with pytest.raises(ValueError):
-        balanced_rates(-0.1, 5)
-    with pytest.raises(ValueError):
-        balanced_rates(0.5, 0)
 
 
 def test_params_derived_rates():
