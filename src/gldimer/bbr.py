@@ -3,9 +3,13 @@ locate their steady states by a root search.
 
 The state is 14 real numbers: the Bloch vector and particle number
 (s_x, s_y, s_z, n) plus the ten covariances D_jk of the four Hermitian
-quadratics.  The coupling of second to third moments is removed by the
-factorization closure baked into the generated kernel (see
-tools/derive_moment_rhs.py for the derivation and its validation gates).
+quadratics, in the layout of `fock.BlochMoments.vector`.  States are
+`fock.BlochMoments` records and `integrate` returns a
+`fock.MomentTrajectory`, the records the master-equation engines use,
+so closed and exact moments compare field by field.  The coupling of
+second to third moments is removed by the factorization closure baked
+into the generated kernel (see tools/derive_moment_rhs.py for the
+derivation and its validation gates).
 
 Two interaction modes exist:
 
@@ -37,6 +41,7 @@ import scipy.optimize
 
 from . import _moment_rhs_py as _kernel
 from .errors import InteractionSingularityError
+from .fock import MIN_PARTICLE_NUMBER, BlochMoments, MomentTrajectory
 from .ode import integrate_dp45, sample_grid
 from .system import SystemParams
 
@@ -44,9 +49,6 @@ from .system import SystemParams
 # (perfbench/worker.py) records it in its run context and perfbench/compare.py
 # refuses to compare records whose flags differ.
 COMPILED_KERNEL = False
-
-COMPONENT_NAMES = ("s_x", "s_y", "s_z", "n", "D_xx", "D_xy", "D_xz", "D_xn",
-                   "D_yy", "D_yz", "D_yn", "D_zz", "D_zn", "D_nn")
 
 SWEEP_COLUMNS = ("gamma", "g", "exists", "s_x", "s_y", "s_z", "n", "P",
                  "Delta_n")
@@ -72,41 +74,6 @@ class ConstantG:
 
 
 BbrMode = FixedU | ConstantG
-
-
-@dataclass(frozen=True)
-class MomentState:
-    """Bloch first moments plus the symmetric covariance block."""
-
-    s: np.ndarray       # (3,)
-    n: float
-    delta: np.ndarray   # (4, 4) symmetric
-
-    @property
-    def purity(self) -> float:
-        return float(self.s @ self.s) / self.n**2
-
-    @property
-    def vector(self) -> np.ndarray:
-        d = self.delta
-        return np.array([
-            self.s[0], self.s[1], self.s[2], self.n,
-            d[0, 0], d[0, 1], d[0, 2], d[0, 3],
-            d[1, 1], d[1, 2], d[1, 3],
-            d[2, 2], d[2, 3], d[3, 3],
-        ])
-
-    @classmethod
-    def from_vector(cls, y: np.ndarray) -> "MomentState":
-        d = np.empty((4, 4))
-        d[0, 0], d[0, 1], d[0, 2], d[0, 3] = y[4:8]
-        d[1, 1], d[1, 2], d[1, 3] = y[8:11]
-        d[2, 2], d[2, 3] = y[11:13]
-        d[3, 3] = y[13]
-        for j in range(4):
-            for k in range(j):
-                d[j, k] = d[k, j]
-        return cls(s=np.array(y[:3]), n=float(y[3]), delta=d)
 
 
 def _resolve_u(y, mode: BbrMode) -> float:
@@ -136,7 +103,7 @@ def moment_rhs(y, params: SystemParams, mode: BbrMode, out=None):
     return out
 
 
-def pure_state_moments(theta: float, phi: float, n0: int) -> MomentState:
+def pure_state_moments(theta: float, phi: float, n0: int) -> BlochMoments:
     """Moments of the product of n0 identical single-particle states.
 
     First moments are n0 times the unit vector u(theta, phi); the particle
@@ -150,45 +117,13 @@ def pure_state_moments(theta: float, phi: float, n0: int) -> MomentState:
                   np.cos(theta)])
     delta = np.zeros((4, 4))
     delta[:3, :3] = 0.5 * n0 * (np.eye(3) - np.outer(u, u))
-    return MomentState(s=n0 * u, n=float(n0), delta=delta)
+    s_x, s_y, s_z = n0 * u
+    return BlochMoments(s_x=s_x, s_y=s_y, s_z=s_z, n=float(n0), delta=delta)
 
 
-@dataclass
-class BbrTrajectory:
-    ts: np.ndarray
-    ys: np.ndarray      # (len(ts), 14)
-
-    @property
-    def s_x(self):
-        return self.ys[:, 0]
-
-    @property
-    def s_y(self):
-        return self.ys[:, 1]
-
-    @property
-    def s_z(self):
-        return self.ys[:, 2]
-
-    @property
-    def n(self):
-        return self.ys[:, 3]
-
-    @property
-    def purity(self):
-        return np.sum(self.ys[:, :3] ** 2, axis=1) / self.ys[:, 3] ** 2
-
-    @property
-    def reduced_bloch(self):
-        return self.ys[:, :3] / self.ys[:, 3:4]
-
-    def state(self, i: int) -> MomentState:
-        return MomentState.from_vector(self.ys[i])
-
-
-def integrate(initial: MomentState, t_final: float, params: SystemParams,
+def integrate(initial: BlochMoments, t_final: float, params: SystemParams,
               mode: BbrMode, *, rtol: float = 1e-10, atol: float = 1e-12,
-              sample_interval: float | None = None) -> BbrTrajectory:
+              sample_interval: float | None = None) -> MomentTrajectory:
     """Adaptive integration of the closed moment equations."""
     ts = sample_grid(t_final, sample_interval, 400)
 
@@ -197,7 +132,7 @@ def integrate(initial: MomentState, t_final: float, params: SystemParams,
 
     res = integrate_dp45(rhs, (0.0, t_final), initial.vector,
                          rtol=rtol, atol=atol, sample_times=ts)
-    return BbrTrajectory(ts=res.sample_ts, ys=res.sample_ys)
+    return MomentTrajectory(ts=res.sample_ts, ys=res.sample_ys)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +152,7 @@ class RootResult:
     "lstsq" (a least-squares Newton step on a singular Jacobian) over
     None."""
 
-    state: MomentState | None
+    state: BlochMoments | None
     converged: bool
     physical: bool
     residual: float
@@ -252,8 +187,8 @@ def _tally(work: dict, res: RootResult) -> RootResult:
 
 
 def _classify(y) -> bool:
-    state = MomentState.from_vector(y)
-    if state.n <= 0:
+    state = BlochMoments.from_vector(y)
+    if state.n <= MIN_PARTICLE_NUMBER:
         return False
     if state.purity > 1.0 + 1e-8:
         return False
@@ -330,7 +265,7 @@ def _residual_floor(y, params: SystemParams) -> float:
 
 
 def steady_root_search(params: SystemParams, mode: BbrMode,
-                       initial_guess: MomentState, *,
+                       initial_guess: BlochMoments, *,
                        residual_tol: float = 1e-10) -> RootResult:
     """Damped Newton iteration on the moment equations, with a
     trust-region fallback on stagnation.
@@ -406,7 +341,7 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
     converged = residual < tol_at(best_y)
     physical = converged and _classify(best_y)
     return RootResult(
-        state=MomentState.from_vector(best_y) if converged else None,
+        state=BlochMoments.from_vector(best_y) if converged else None,
         converged=converged, physical=physical, residual=residual,
         iterations=iterations, kernel_calls=fun.kernel_calls,
         jacobian_evals=fun.jacobian_evals, newton_steps=newton_steps,
@@ -414,26 +349,24 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
         sentinel_hits=fun.sentinel_hits)
 
 
-def u0_steady_guess(params: SystemParams) -> MomentState:
+def u0_steady_guess(params: SystemParams) -> BlochMoments:
     """Analytic steady first moments of the non-interacting limit with a
     diagonal covariance heuristic; the standard sweep anchor."""
     from .closedform import steady_alpha
 
     alpha = steady_alpha(params)
     delta = np.diag([alpha.n / 2, alpha.n / 2, alpha.n / 2, alpha.n])
-    return MomentState(s=np.array([alpha.s_x, alpha.s_y, alpha.s_z]),
-                       n=alpha.n, delta=delta)
+    return BlochMoments(s_x=alpha.s_x, s_y=alpha.s_y, s_z=alpha.s_z,
+                        n=alpha.n, delta=delta)
 
 
 def _params_at(gamma: float, g: float, n0: int, J: float,
                mode_kind: str) -> tuple[SystemParams, BbrMode]:
-    if mode_kind == "fixed-U":
-        params = SystemParams.from_g(g=g, gamma=gamma, n0=n0, J=J)
-        return params, FixedU(params.U)
-    if mode_kind == "constant-g":
-        params = SystemParams.from_g(g=g, gamma=gamma, n0=n0, J=J)
-        return params, ConstantG(g)
-    raise ValueError(f"unknown mode kind {mode_kind!r}")
+    if mode_kind not in ("fixed-U", "constant-g"):
+        raise ValueError(f"unknown mode kind {mode_kind!r}")
+    params = SystemParams.from_g(g=g, gamma=gamma, n0=n0, J=J)
+    return params, (FixedU(params.U) if mode_kind == "fixed-U"
+                    else ConstantG(g))
 
 
 @dataclass
@@ -441,14 +374,14 @@ class SweepPoint:
     gamma: float
     g: float
     exists: bool
-    state: MomentState | None
+    state: BlochMoments | None
 
     def row(self):
         if self.state is None:
             return (self.gamma, self.g, 0, np.nan, np.nan, np.nan, np.nan,
                     np.nan, np.nan)
         st = self.state
-        return (self.gamma, self.g, 1, st.s[0], st.s[1], st.s[2], st.n,
+        return (self.gamma, self.g, 1, st.s_x, st.s_y, st.s_z, st.n,
                 st.purity, np.sqrt(max(st.delta[3, 3], 0.0)))
 
 
@@ -469,35 +402,14 @@ class GammaSweep:
                 if p.exists]
 
 
-def _seeded_root(params, mode, guess, residual_tol, work=None):
-    """Root from guess, else by continuation in the interaction from the
-    analytic anchor; the work of every search is added to work."""
-    def search(m, start):
-        res = steady_root_search(params, m, start, residual_tol=residual_tol)
-        return res if work is None else _tally(work, res)
-
-    res = search(mode, guess)
-    if res.found:
-        return res
-    strength = mode.u if isinstance(mode, FixedU) else mode.g
-    if strength == 0.0:
-        return res
-    state = u0_steady_guess(params)
-    for frac in (0.25, 0.5, 0.75, 1.0):
-        res = search(type(mode)(strength * frac), state)
-        if not res.found:
-            return res
-        state = res.state
-    return res
-
-
 def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
                 residual_tol: float = 1e-9,
                 boundary_resolution: float = 1e-4) -> GammaSweep:
     """Track the steady-state branch over an ascending gamma grid.
 
-    The branch is followed by warm-started continuation, seeded at the
-    first grid point from the analytic non-interacting steady state.  The
+    The branch is followed by warm-started continuation, anchored at the
+    first grid point by one root search from the analytic non-interacting
+    steady state (no root there: no point exists, boundary grid[0]).  The
     continuation step adapts: where the branch steepens (the particle
     number blows up toward the existence boundary) grid gaps are bridged
     with refined intermediate steps, recorded in `tail`.  The branch
@@ -512,8 +424,8 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
     work = dict.fromkeys(WORK_KEYS, 0)
 
     params, mode = _params_at(grid[0], g, n0, J, mode_kind)
-    res = _seeded_root(params, mode, u0_steady_guess(params), residual_tol,
-                       work)
+    res = _tally(work, steady_root_search(
+        params, mode, u0_steady_guess(params), residual_tol=residual_tol))
     if not res.found:
         return GammaSweep(
             g=g, mode_kind=mode_kind,

@@ -1,10 +1,12 @@
 """Scenario runner: configures the engines, runs single jobs or parameter
 sweeps, and writes figure-ready CSV datasets plus a JSON run manifest.
 
-Usage:  gldimer <scenario> [--config FILE] [--out DIR] [--tolerance X]
+Usage:  gldimer <scenario> [--config FILE] [--out DIR]
+        gldimer custom-propagate [--config FILE] [--out DIR] [--tolerance X]
 
-Only fig3-steady-distributions, custom-propagate and custom-steady, whose
-engines read it, take --tolerance (or the `tolerance` key).
+Only custom-propagate, whose propagation reads it, takes --tolerance (or
+the `tolerance` key); the steady-state scenarios solve at the engine's
+residual tolerance.
 
 Scenarios: fig1-nonosci-sweep, fig2-bloch-trajectories,
 fig3-steady-distributions, fig4-bbr-steady-components, fig5-purity-maps,
@@ -47,7 +49,6 @@ SCENARIOS = (
 _COMMON = {
     "J": (float, 1.0),
 }
-_TOLERANCE = {"tolerance": (float, 1e-8)}
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -75,7 +76,6 @@ _SCHEMAS: dict[str, dict] = {
     },
     "fig3-steady-distributions": {
         **_COMMON,
-        **_TOLERANCE,
         "n0": (int, 5),
         "gamma": (float, 0.5),
         "g": (float, 0.5),
@@ -103,7 +103,7 @@ _SCHEMAS: dict[str, dict] = {
     },
     "custom-propagate": {
         **_COMMON,
-        **_TOLERANCE,
+        "tolerance": (float, 1e-8),
         "n0": (int, 5),
         "gamma": (float, 0.5),
         "g": (float, 0.0),
@@ -116,7 +116,6 @@ _SCHEMAS: dict[str, dict] = {
     },
     "custom-steady": {
         **_COMMON,
-        **_TOLERANCE,
         "n0": (int, 5),
         "gamma": (float, 0.5),
         "g": (float, 0.0),
@@ -363,7 +362,6 @@ def _run_fig3(config: ScenarioConfig, writer: _Writer,
     params = SystemParams.from_g(g=config["g"], gamma=config["gamma"],
                                  n0=config["n0"], J=config["J"])
     cfg = steadysolve.SteadySolveConfig(
-        residual_tol=min(1e-10, config["tolerance"]),
         truncation_ceiling=config["truncation_ceiling"])
     sol = steadysolve.solve_steady(params, basis, cfg)
     p1 = fock.site_distribution(sol.rho, basis, 1)
@@ -464,7 +462,6 @@ def _run_custom_steady(config: ScenarioConfig, writer: _Writer,
     params = SystemParams.from_g(g=config["g"], gamma=config["gamma"],
                                  n0=config["n0"], J=config["J"])
     cfg = steadysolve.SteadySolveConfig(
-        residual_tol=min(1e-10, config["tolerance"]),
         truncation_ceiling=config["truncation_ceiling"])
     sol = steadysolve.solve_steady(params, basis, cfg)
     diag_rows, summary = steadysolve.steady_outputs(sol, basis)

@@ -4,6 +4,13 @@ Basis states |n1, n2> with 0 <= n1, n2 <= cutoff are enumerated row-major,
 flat index i = n1*(cutoff+1) + n2.  Creation past the cutoff maps to zero;
 the resulting truncation error is monitored through `truncation_mass`
 rather than being silently ignored.
+
+The first and second moments of every engine share one record and one
+layout: `BlochMoments` holds (s_x, s_y, s_z, n) and the 4 x 4 covariance
+block, `BlochMoments.vector` flattens them into the 14 components named
+by COMPONENT_NAMES (the layout of the closed-moment kernel), and
+`MomentTrajectory` holds such vectors sampled in time, one row per
+sample.  Purity is defined once, on this record.
 """
 
 from __future__ import annotations
@@ -204,6 +211,18 @@ def check_density_matrix(rho: np.ndarray, *, trace_tol: float = 1e-8,
 # observables
 
 
+# the flat moment layout of BlochMoments.vector and MomentTrajectory.ys
+COMPONENT_NAMES = ("s_x", "s_y", "s_z", "n", "D_xx", "D_xy", "D_xz", "D_xn",
+                   "D_yy", "D_yz", "D_yn", "D_zz", "D_zn", "D_nn")
+
+# purity is undefined at or below this particle number
+MIN_PARTICLE_NUMBER = 1e-12
+
+
+def _purity(s_x, s_y, s_z, n):
+    return (s_x**2 + s_y**2 + s_z**2) / n**2
+
+
 @dataclass(frozen=True)
 class BlochMoments:
     """First moments s_j = 2<L_j>, n = <n> and the symmetric covariance
@@ -221,9 +240,18 @@ class BlochMoments:
         return np.array([self.s_x, self.s_y, self.s_z])
 
     @property
+    def purity(self) -> float:
+        """(s_x^2 + s_y^2 + s_z^2) / n^2; equals 1 for a pure condensate."""
+        if self.n <= MIN_PARTICLE_NUMBER:
+            raise DegenerateStateError(
+                "purity undefined for zero particle number")
+        return _purity(self.s_x, self.s_y, self.s_z, self.n)
+
+    @property
     def vector(self) -> np.ndarray:
-        """Flat 14-component layout (s_x, s_y, s_z, n, upper triangle of
-        delta row-wise) shared with the moment-closure kernels."""
+        """Flat 14-component layout (COMPONENT_NAMES: s_x, s_y, s_z, n,
+        upper triangle of delta row-wise) shared with the moment-closure
+        kernels."""
         d = self.delta
         return np.array([
             self.s_x, self.s_y, self.s_z, self.n,
@@ -231,6 +259,62 @@ class BlochMoments:
             d[1, 1], d[1, 2], d[1, 3],
             d[2, 2], d[2, 3], d[3, 3],
         ])
+
+    @classmethod
+    def from_vector(cls, y) -> BlochMoments:
+        """The moments whose `vector` is y (any sequence of 14 floats)."""
+        d = np.empty((4, 4))
+        d[0, 0], d[0, 1], d[0, 2], d[0, 3] = y[4:8]
+        d[1, 1], d[1, 2], d[1, 3] = y[8:11]
+        d[2, 2], d[2, 3] = y[11:13]
+        d[3, 3] = y[13]
+        for j in range(4):
+            for k in range(j):
+                d[j, k] = d[k, j]
+        return cls(s_x=float(y[0]), s_y=float(y[1]), s_z=float(y[2]),
+                   n=float(y[3]), delta=d)
+
+
+@dataclass
+class MomentTrajectory:
+    """Moment vectors sampled at the times ts: row i of ys is the
+    `BlochMoments.vector` at ts[i]."""
+
+    ts: np.ndarray
+    ys: np.ndarray      # (len(ts), 14)
+
+    @property
+    def s_x(self) -> np.ndarray:
+        return self.ys[:, 0]
+
+    @property
+    def s_y(self) -> np.ndarray:
+        return self.ys[:, 1]
+
+    @property
+    def s_z(self) -> np.ndarray:
+        return self.ys[:, 2]
+
+    @property
+    def n(self) -> np.ndarray:
+        return self.ys[:, 3]
+
+    @property
+    def delta_nn(self) -> np.ndarray:
+        return self.ys[:, 13]
+
+    @property
+    def purity(self) -> np.ndarray:
+        """`BlochMoments.purity` of every sample, NaN where it is
+        undefined."""
+        return np.array([
+            _purity(y[0], y[1], y[2], y[3])
+            if y[3] > MIN_PARTICLE_NUMBER else np.nan for y in self.ys])
+
+    @property
+    def reduced_bloch(self) -> np.ndarray:
+        """(s_x, s_y, s_z) / n of every sample."""
+        return self.ys[:, :3] / self.ys[:, 3:4]
 
 
 def expectation(op: sp.csr_array, rho: np.ndarray) -> complex:
@@ -252,13 +336,6 @@ def bloch_moments(rho: np.ndarray, basis: TwoModeBasis) -> BlochMoments:
         s_x=2.0 * means[0], s_y=2.0 * means[1], s_z=2.0 * means[2],
         n=means[3], delta=delta,
     )
-
-
-def purity(m: BlochMoments) -> float:
-    """(s_x^2 + s_y^2 + s_z^2) / n^2; equals 1 for a pure condensate."""
-    if m.n <= 1e-12:
-        raise DegenerateStateError("purity undefined for zero particle number")
-    return (m.s_x**2 + m.s_y**2 + m.s_z**2) / m.n**2
 
 
 def site_distribution(rho: np.ndarray, basis: TwoModeBasis, site: int) -> np.ndarray:

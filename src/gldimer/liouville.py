@@ -22,6 +22,10 @@ Two representations are provided:
   dynamics of those observables exactly at a fraction of the cost.  This
   makes large cutoffs affordable.
 
+Both propagations return a `Trajectory`: the `fock.MomentTrajectory` of
+the sampled Bloch moments, with the boundary mass of every sample, the
+final state and the integrator's step counts.
+
 The sector blocks of a density matrix are Hermitian, so the block
 representation packs each of them into real Hermitian coordinates (the
 diagonal and the real and imaginary parts of one triangle), in which the
@@ -41,7 +45,7 @@ import scipy.sparse as sp
 
 from . import fock
 from .errors import TruncationOverflowError
-from .fock import TwoModeBasis, BlochMoments
+from .fock import BlochMoments, MomentTrajectory, TwoModeBasis
 from .ode import integrate_dp45, sample_grid
 from .system import SystemParams
 
@@ -341,40 +345,31 @@ def block_moments(x: np.ndarray, basis: TwoModeBasis) -> BlochMoments:
 
 
 @dataclass
-class Trajectory:
-    """Observable samples along a propagation, plus the final state."""
+class Trajectory(MomentTrajectory):
+    """The sampled moments of a propagation, the boundary mass of every
+    sample, the final state and the integrator's step counts."""
 
-    ts: np.ndarray
-    s_x: np.ndarray
-    s_y: np.ndarray
-    s_z: np.ndarray
-    n: np.ndarray
-    purity: np.ndarray
-    delta_nn: np.ndarray
     truncation_mass: np.ndarray
     rho_final: np.ndarray
-    moments_final: BlochMoments
     n_steps: int
     n_rejected: int
     n_rhs: int
 
     def rows(self):
-        for i in range(len(self.ts)):
-            yield (self.ts[i], self.s_x[i], self.s_y[i], self.s_z[i],
-                   self.n[i], self.purity[i], self.delta_nn[i],
-                   self.truncation_mass[i])
+        """The samples as rows of TRAJECTORY_COLUMNS."""
+        return zip(self.ts, self.s_x, self.s_y, self.s_z, self.n,
+                   self.purity, self.delta_nn, self.truncation_mass)
 
 
-def _moments_to_arrays(ts, moment_list, masses):
-    s = np.array([[m.s_x, m.s_y, m.s_z, m.n] for m in moment_list])
-    pur = np.array([
-        (m.s_x**2 + m.s_y**2 + m.s_z**2) / m.n**2 if m.n > 1e-12 else np.nan
-        for m in moment_list
-    ])
-    dnn = np.array([m.delta[3, 3] for m in moment_list])
-    return dict(ts=np.asarray(ts), s_x=s[:, 0], s_y=s[:, 1], s_z=s[:, 2],
-                n=s[:, 3], purity=pur, delta_nn=dnn,
-                truncation_mass=np.asarray(masses))
+def _trajectory(result, moments, masses, rho_final) -> Trajectory:
+    """Trajectory of an integrator result whose samples have the given
+    moments and boundary masses."""
+    return Trajectory(
+        ts=np.asarray(result.sample_ts),
+        ys=np.array([m.vector for m in moments]),
+        truncation_mass=np.asarray(masses), rho_final=rho_final,
+        n_steps=result.n_steps, n_rejected=result.n_rejected,
+        n_rhs=result.n_rhs)
 
 
 def boundary_monitor(boundary: np.ndarray, ceiling: float,
@@ -437,11 +432,8 @@ def propagate(rho0: np.ndarray, t_final: float, params: SystemParams,
         rho = v.reshape((dim, dim), order="F")
         moments.append(fock.bloch_moments(rho, basis))
         masses.append(fock.truncation_mass(rho, basis))
-    rho_final = result.y.reshape((dim, dim), order="F")
-    arrays = _moments_to_arrays(result.sample_ts, moments, masses)
-    return Trajectory(rho_final=rho_final, moments_final=moments[-1],
-                      n_steps=result.n_steps, n_rejected=result.n_rejected,
-                      n_rhs=result.n_rhs, **arrays)
+    return _trajectory(result, moments, masses,
+                       result.y.reshape((dim, dim), order="F"))
 
 
 def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
@@ -462,8 +454,5 @@ def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
         build_number_block_generator(params, basis), bpos, config)
     moments = [block_moments(x, basis) for x in result.sample_ys]
     masses = [float(np.sum(x[bpos])) for x in result.sample_ys]
-    arrays = _moments_to_arrays(result.sample_ts, moments, masses)
-    return Trajectory(rho_final=unpack_block(result.y, space),
-                      moments_final=moments[-1],
-                      n_steps=result.n_steps, n_rejected=result.n_rejected,
-                      n_rhs=result.n_rhs, **arrays)
+    return _trajectory(result, moments, masses,
+                       unpack_block(result.y, space))

@@ -49,7 +49,6 @@ _MAX_FACTOR = 5.0
 
 @dataclass
 class OdeResult:
-    t: float
     y: np.ndarray
     sample_ts: np.ndarray
     sample_ys: np.ndarray
@@ -138,13 +137,12 @@ def integrate_dp45(
             sample_ys.append(ycur.copy())
             next_sample += 1
 
-    res = OdeResult(t=t, y=y, sample_ts=np.empty(0), sample_ys=np.empty(0))
+    res = OdeResult(y=y, sample_ts=np.empty(0), sample_ys=np.empty(0))
     f = rhs(t, y)
     res.n_rhs += 1
     record_if_sample(t, y)
 
     if t0 == t1:
-        res.t, res.y = t, y
         res.sample_ts = np.array(sample_ts)
         res.sample_ys = np.array(sample_ys)
         return res
@@ -200,7 +198,7 @@ def integrate_dp45(
             res.n_rejected += 1
             h = h_eff * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
 
-    res.t, res.y = t, y
+    res.y = y
     res.sample_ts = np.array(sample_ts)
     res.sample_ys = np.array(sample_ys) if sample_ys else np.empty((0, y.size))
     return res

@@ -63,8 +63,7 @@ class SteadySolution:
     matvecs: int                     # refinement products a @ x
     truncation_mass: float
     eigenvalue_floor: float          # smallest eigenvalue before clipping
-    adjustments: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+    adjustments: dict = field(default_factory=dict)  # see _post_process
     # seconds spent in each phase: build, eliminate, post_process, verify
     phase_seconds: dict = field(default_factory=dict)
     n_sectors: int = 0               # particle-number sectors N = 0 .. top
@@ -73,6 +72,7 @@ class SteadySolution:
     def diagnostics(self) -> dict:
         """What the solve did, for a run manifest."""
         return {"residual": self.residual, "matvecs": self.matvecs,
+                "adjustments": self.adjustments,
                 "phase_seconds": self.phase_seconds,
                 "n_sectors": self.n_sectors,
                 "max_block_order": self.max_block_order}
@@ -152,7 +152,6 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
         raise ValueError(
             "steady state undefined at gamma = 0: every mixture of "
             "Hamiltonian eigenprojectors is stationary")
-    t0 = time.monotonic()
     seconds = dict.fromkeys(("build", "eliminate", "post_process", "verify"),
                             0.0)
     last = time.perf_counter()
@@ -202,7 +201,7 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
     return SteadySolution(
         rho=rho, moments=fock.bloch_moments(rho, basis), residual=residual,
         matvecs=matvecs, truncation_mass=mass, eigenvalue_floor=floor,
-        adjustments=adjustments, wall_time=time.monotonic() - t0,
+        adjustments=adjustments,
         phase_seconds=seconds, n_sectors=len(space.sectors),
         max_block_order=int(np.max(np.diff(space.offsets))),
     )
@@ -243,7 +242,6 @@ class AttractorReport:
     ts: np.ndarray
     distances: np.ndarray        # (n_perturbations, len(ts))
     fitted_rates: np.ndarray     # decay rate per perturbation
-    perturbation_scale: float
 
 
 def _block_trace_distances(xs: np.ndarray,
@@ -320,8 +318,7 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
         else:
             rates.append(np.nan)
     return AttractorReport(ts=ts, distances=np.array(distances),
-                           fitted_rates=np.array(rates),
-                           perturbation_scale=perturbation_scale)
+                           fitted_rates=np.array(rates))
 
 
 def steady_outputs(sol: SteadySolution, basis: TwoModeBasis):
@@ -333,7 +330,7 @@ def steady_outputs(sol: SteadySolution, basis: TwoModeBasis):
     m = sol.moments
     return rows, {
         "s_x": m.s_x, "s_y": m.s_y, "s_z": m.s_z, "n": m.n,
-        "purity": fock.purity(m),
+        "purity": m.purity,
         "delta_n": float(np.sqrt(max(m.delta[3, 3], 0.0))),
         "residual": sol.residual,
         "truncation_mass": sol.truncation_mass,

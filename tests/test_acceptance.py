@@ -248,7 +248,7 @@ def test_criterion_09_closure_consistency_gate():
                       "t=0, with the factorization defect accounted"):
         basis = fock.build_basis(14)
         rng = np.random.default_rng(7)
-        names = bbr.COMPONENT_NAMES
+        names = fock.COMPONENT_NAMES
         for n0 in (4, 6):
             for g in (0.0, 0.5):
                 params = SystemParams.from_g(g=g, gamma=0.5, n0=n0)

@@ -95,8 +95,8 @@ def test_singular_band_has_a_zero_jacobian_and_no_error_escapes():
     # sentinel, a constant, so its Jacobian is zero
     params = SystemParams(J=1.0, U=0.0, gamma=0.1, n0=2)
     mode = bbr.ConstantG(0.5)
-    guess = bbr.MomentState(s=np.array([0.5, 0.0, 0.0]), n=1.0 + 0.5e-6,
-                            delta=np.eye(4))
+    guess = fock.BlochMoments(s_x=0.5, s_y=0.0, s_z=0.0, n=1.0 + 0.5e-6,
+                              delta=np.eye(4))
     y = guess.vector
     fun = bbr._Residual(params, mode)
     assert fun(y.tolist()) == [1e6] * 14
@@ -178,27 +178,6 @@ def test_max_abs_propagates_nan_like_numpy():
         assert np.array_equal(got, np.max(np.abs(v)), equal_nan=True)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_seeded_root_continues_in_the_interaction_of_either_mode(
-        monkeypatch, mode):
-    calls = []
-
-    def fake_search(params, m, guess, residual_tol):
-        calls.append(m)
-        state = bbr.u0_steady_guess(params)
-        return bbr.RootResult(state=state, converged=True,
-                              physical=len(calls) > 1, residual=0.0,
-                              iterations=1)
-
-    monkeypatch.setattr(bbr, "steady_root_search", fake_search)
-    params = SystemParams.from_g(g=0.5, gamma=0.8, n0=20)
-    res = bbr._seeded_root(params, mode, bbr.u0_steady_guess(params), 1e-9)
-    assert res.found
-    strength = mode.u if isinstance(mode, bbr.FixedU) else mode.g
-    assert calls == [mode] + [type(mode)(strength * f)
-                              for f in (0.25, 0.5, 0.75, 1.0)]
-
-
 def test_generated_kernels_match_the_derivation():
     pytest.importorskip("sympy")
     tool = Path(__file__).resolve().parents[1] / "tools" / "derive_moment_rhs.py"
@@ -225,13 +204,6 @@ def test_pure_state_moments_match_fock_construction():
     m = fock.bloch_moments(rho, basis)
     st = bbr.pure_state_moments(theta, phi, n)
     assert st.vector == pytest.approx(m.vector, abs=1e-10)
-
-
-def test_moment_state_vector_roundtrip():
-    st = bbr.pure_state_moments(1.2, 0.4, 9)
-    again = bbr.MomentState.from_vector(st.vector)
-    assert again.vector == pytest.approx(st.vector)
-    assert np.allclose(again.delta, again.delta.T)
 
 
 def test_rhs_u0_first_moments_linear():
@@ -328,8 +300,8 @@ def test_interacting_symmetric_states_oscillate_weakly():
 
 
 def test_constant_g_singularity():
-    st = bbr.MomentState(s=np.array([0.5, 0, 0]), n=1.0 + 1e-8,
-                         delta=np.zeros((4, 4)))
+    st = fock.BlochMoments(s_x=0.5, s_y=0.0, s_z=0.0, n=1.0 + 1e-8,
+                           delta=np.zeros((4, 4)))
     params = SystemParams(J=1.0, U=0.0, gamma=0.1, n0=2)
     with pytest.raises(InteractionSingularityError):
         bbr.moment_rhs(st.vector, params, bbr.ConstantG(0.5))
@@ -402,7 +374,7 @@ def test_divergence_time_report():
     params = SystemParams.from_g(g=0.5, gamma=0.5, n0=4)
     rho0 = fock.density_from_state(
         fock.coherent_state(basis, np.pi / 2, 0.0, 4))
-    st0 = bbr.MomentState.from_vector(fock.bloch_moments(rho0, basis).vector)
+    st0 = fock.bloch_moments(rho0, basis)
     horizon = 12.0
     cfg = liouville.PropagationConfig(rtol=1e-10, atol=1e-12,
                                       sample_interval=0.25,

@@ -17,10 +17,13 @@ def test_parse_config_defaults_echoed(tmp_path):
     # every schema key is present in the resolved configuration
     for key in ("J", "n0", "gamma", "g", "t_final", "samples"):
         assert key in cfg.values
-    # fig2's engines take no tolerance, so it has no such key
+    # fig2's engines take no tolerance, so it has no such key; nor has
+    # custom-steady, which solves at the engine's residual tolerance
     assert "tolerance" not in cfg.values
     steady = cli.resolve_config("custom-steady", {}, tmp_path)
-    assert steady["tolerance"] == 1e-8
+    assert "tolerance" not in steady.values
+    propagate = cli.resolve_config("custom-propagate", {}, tmp_path)
+    assert propagate["tolerance"] == 1e-8
 
 
 def test_parse_config_rejects_unknown_key():
@@ -146,6 +149,9 @@ def test_custom_steady_manifest_reports_the_solve(tmp_path):
                                           "post_process", "verify"}
     assert diag["n_sectors"] == 13 and diag["max_block_order"] == 49
     assert diag["matvecs"] == 0 and diag["residual"] < 1e-10
+    assert set(diag["adjustments"]) == {"hermitization_max_abs",
+                                        "clipped_negative_mass",
+                                        "trace_renormalization"}
 
 
 # trajectory files and their headers, per scenario
@@ -175,21 +181,39 @@ def test_unknown_scenario_rejected():
 
 
 def test_bad_tolerance_flag(tmp_path):
-    code = run_cli(["custom-steady", "--out", tmp_path, "--tolerance", "-1"])
+    code = run_cli(["custom-propagate", "--out", tmp_path, "--tolerance",
+                    "-1"])
     assert code == 2
 
 
 def test_tolerance_only_where_an_engine_reads_it(tmp_path):
-    # fig1's closed forms take no tolerance: the flag is a usage error and
-    # the config key an unknown key
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["fig1-nonosci-sweep", "--out", tmp_path,
-                 "--tolerance", "1e-6"])
-    assert exc.value.code == 2
+    # fig1's closed forms take no tolerance, and the steady-state solves run
+    # at the engine's own: the flag is a usage error and the config key an
+    # unknown key
     cfgf = tmp_path / "c.cfg"
     cfgf.write_text("tolerance = 1e-6\n")
+    for scenario in ("fig1-nonosci-sweep", "fig3-steady-distributions",
+                     "custom-steady"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([scenario, "--out", tmp_path, "--tolerance", "1e-6"])
+        assert exc.value.code == 2
+        assert run_cli([scenario, "--config", cfgf, "--out", tmp_path]) == 2
+    assert list(tmp_path.iterdir()) == [cfgf]
+
+
+def test_output_root_from_the_environment(tmp_path, monkeypatch):
+    # GLDIMER_OUT sets the default output directory; --out overrides it
+    cfgf = tmp_path / "f1.cfg"
+    cfgf.write_text("gamma_min = 0.0\ngamma_max = 1.0\ngamma_step = 0.5\n")
+    env_out, flag_out = tmp_path / "env", tmp_path / "flag"
+    monkeypatch.setenv("GLDIMER_OUT", str(env_out))
+    assert run_cli(["fig1-nonosci-sweep", "--config", cfgf]) == 0
+    assert (env_out / "manifest.json").is_file()
     assert run_cli(["fig1-nonosci-sweep", "--config", cfgf,
-                    "--out", tmp_path]) == 2
+                    "--out", flag_out]) == 0
+    assert (flag_out / "fig1_nonosci_sweep.csv").is_file()
+    assert sorted(p.name for p in env_out.iterdir()) == [
+        "fig1_nonosci_sweep.csv", "manifest.json"]
 
 
 @pytest.mark.parametrize("scenario, key, value", [

@@ -97,7 +97,7 @@ def test_coherent_state_moments():
     m = fock.bloch_moments(rho, b)
     assert (m.s_x, m.s_y, m.s_z, m.n) == pytest.approx((5, 0, 0, 5), abs=1e-12)
     assert np.diag(m.delta) == pytest.approx([0, 2.5, 2.5, 0], abs=1e-12)
-    assert fock.purity(m) == pytest.approx(1.0, abs=1e-12)
+    assert m.purity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coherent_state_general_angles():
@@ -118,14 +118,41 @@ def test_purity_degenerate():
     b = fock.build_basis(2)
     m = fock.bloch_moments(fock.fock_density(b, 0, 0), b)
     with pytest.raises(DegenerateStateError):
-        fock.purity(m)
+        m.purity
 
 
 def test_purity_zero_for_balanced_mixture():
     b = fock.build_basis(3)
     rho = 0.5 * (fock.fock_density(b, 1, 0) + fock.fock_density(b, 0, 1))
     m = fock.bloch_moments(rho, b)
-    assert fock.purity(m) == pytest.approx(0.0, abs=1e-14)
+    assert m.purity == pytest.approx(0.0, abs=1e-14)
+
+
+def test_from_vector_roundtrip():
+    b = fock.build_basis(9)
+    rho = fock.density_from_state(fock.coherent_state(b, 1.2, 0.4, 9))
+    m = fock.bloch_moments(rho, b)
+    # an array, or a list of floats as the root search holds its iterate
+    for y in (m.vector, m.vector.tolist()):
+        again = fock.BlochMoments.from_vector(y)
+        assert np.array_equal(again.vector, m.vector)
+        assert np.array_equal(again.delta, m.delta)
+
+
+def test_moment_trajectory_purity_per_sample():
+    b = fock.build_basis(3)
+    states = (fock.density_from_state(fock.coherent_state(b, 1.1, 2.4, 3)),
+              0.5 * (fock.fock_density(b, 1, 0) + fock.fock_density(b, 0, 2)),
+              fock.fock_density(b, 0, 0))
+    moments = [fock.bloch_moments(rho, b) for rho in states]
+    traj = fock.MomentTrajectory(ts=np.arange(3.0),
+                                 ys=np.array([m.vector for m in moments]))
+    assert traj.purity[0] == moments[0].purity
+    assert traj.purity[1] == moments[1].purity
+    # undefined at n = 0, where the record raises
+    assert np.isnan(traj.purity[2])
+    assert np.array_equal(traj.n, [m.n for m in moments])
+    assert np.array_equal(traj.delta_nn, [m.delta[3, 3] for m in moments])
 
 
 def test_site_distribution_examples():
@@ -170,7 +197,7 @@ def test_spdm_eigen_purity_identity(seed):
     b = fock.build_basis(6)
     rho = random_density(b, rng)
     m = fock.bloch_moments(rho, b)
-    p = fock.purity(m)
+    p = m.purity
     assert p <= 1 + 1e-8
     sigma = 0.5 * np.array([[m.n - m.s_z, m.s_x + 1j * m.s_y],
                             [m.s_x - 1j * m.s_y, m.n + m.s_z]])

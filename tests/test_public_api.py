@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package has a caller.
+"""Every public top-level function and class of the package has a caller,
+and every public field and property of its public classes a reader.
 
 A name counts as used when code in the package or in the benchmark
 (perfbench/) refers to it outside its own definition, by name, attribute
@@ -7,6 +8,17 @@ and `__all__` entries are re-exports, not uses.  A definition used only
 by another unused definition is unused too, so the unused set is grown to
 a fixed point.  Names that only an oracle test calls are listed in
 ORACLE_ONLY with the test that needs them.
+
+A member (a dataclass field or annotated attribute, or a property) counts
+as read when an attribute of its name is loaded anywhere in the package
+or the benchmark, its own class's methods included, or when a string
+constant there spells its name (`getattr` with a key, as the sweep's work
+sums read the root-search counts).  Its own annotation and keyword
+arguments that set it are not reads.  Members that only an oracle test
+reads are listed in ORACLE_MEMBERS with that test.  The match is by name
+alone, whatever the object: `.n` or `.state` of any object, or a column
+or key spelled "n", counts for every member of that name, so a dead
+member whose name another one shares or a string spells passes unseen.
 """
 
 import ast
@@ -22,6 +34,25 @@ ORACLE_ONLY = {
         "test_acceptance.py::test_criterion_08_attractor_rate",
     ("meanfield", "angle_velocities"):
         "test_acceptance.py::test_criterion_10_meanfield_consistency",
+}
+
+ORACLE_MEMBERS = {
+    ("fock", "MomentTrajectory", "reduced_bloch"):
+        "test_acceptance.py::test_criterion_10_meanfield_consistency",
+    ("meanfield", "GpeTrajectory", "bloch"):
+        "test_acceptance.py::test_criterion_10_meanfield_consistency",
+    ("closedform", "SteadyMoments", "reduced_s_y"):
+        "test_acceptance.py::test_criterion_01_steady_state_reduced_moments",
+    ("closedform", "NonOscillatoryPair", "s_y0"):
+        "test_closedform.py::test_nonoscillatory_angle_consistency",
+    ("closedform", "NonOscillatoryPair", "s_z0"):
+        "test_closedform.py::test_nonoscillatory_angle_consistency",
+    ("liouville", "Trajectory", "rho_final"):
+        "test_liouville.py::test_block_route_matches_full_route",
+    ("steadysolve", "AttractorReport", "distances"):
+        "test_steadysolve.py::test_attractor_zero_perturbation",
+    ("steadysolve", "AttractorReport", "fitted_rates"):
+        "test_acceptance.py::test_criterion_08_attractor_rate",
 }
 
 
@@ -87,3 +118,67 @@ def test_oracle_only_names_are_defined_and_called_by_their_test():
         assert (module, name) in defs
         test_file = Path(__file__).parent / test.split("::")[0]
         assert name in test_file.read_text(), test
+
+
+def _is_property(fn) -> bool:
+    return any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+               in ("property", "cached_property") for d in fn.decorator_list)
+
+
+def public_members(paths):
+    """(module, class, member) of every public field and property of the
+    public top-level classes in paths."""
+    members = set()
+    for path in paths:
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, ast.ClassDef) or stmt.name.startswith("_"):
+                continue
+            for item in stmt.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(
+                        item.target, ast.Name):
+                    name = item.target.id
+                elif isinstance(item, ast.FunctionDef) and _is_property(item):
+                    name = item.name
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members.add((path.stem, stmt.name, name))
+    return members
+
+
+def read_names(tree) -> set:
+    """Names loaded as attributes in tree, and its string constants."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unread_members(root):
+    package = sorted((root / "src" / "gldimer").glob("*.py"))
+    reads = set()
+    for path in package + sorted((root / "perfbench").glob("*.py")):
+        reads |= read_names(ast.parse(path.read_text()))
+    return {m for m in public_members(package) if m[2] not in reads}
+
+
+def test_every_public_member_has_a_reader():
+    unread = unread_members(ROOT) - set(ORACLE_MEMBERS)
+    assert not unread, "public fields or properties that nothing in " \
+        "src/gldimer or perfbench/ reads: " + ", ".join(
+            ".".join(m) for m in sorted(unread))
+
+
+def test_oracle_only_members_are_defined_and_read_by_their_test():
+    # defined, read by nothing outside the tests, and read by their test
+    unread = unread_members(ROOT)
+    for (module, cls, name), test in ORACLE_MEMBERS.items():
+        assert (module, cls, name) in unread
+        file_name, func = test.split("::")
+        tree = ast.parse((Path(__file__).parent / file_name).read_text())
+        body = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == func)
+        assert name in read_names(body), test
