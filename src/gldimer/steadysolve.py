@@ -15,10 +15,11 @@ singular system is made square by replacing the equation for d rho_00/dt
 (implied by trace preservation of the rest) with the pin rho_00 = 1,
 which keeps that structure, and is solved by block elimination over the
 sectors (the matrix-continued-fraction method): one dense real LU
-factorization per sector, from the top sector down, followed by a few
-steps of iterative refinement only if needed.  The state is then
-normalized to unit trace and unpacked to a complex density matrix, and
-its residual is re-verified by an independent application of the full
+factorization per sector, from the top sector down, then one forward pass
+from the pin.  The state is then normalized to unit trace and unpacked to
+a complex density matrix, which is exactly Hermitian by construction; its
+negligible negative eigenvalues are clipped (a larger one is an error),
+and its residual is verified by an independent application of the full
 generator in matrix form, never trusted from the solver.
 """
 
@@ -35,20 +36,18 @@ import scipy.sparse as sp
 from . import fock, liouville
 from .errors import ConvergenceError, TruncationOverflowError
 from .fock import TwoModeBasis
-from .ode import sample_grid
+from .ode import integrate_dp45, sample_grid
 from .system import SystemParams
 
 DIAGONAL_COLUMNS = ("n1", "n2", "p")
-# iterative-refinement steps x += solve(b - a @ x) allowed after the
-# direct solve before the residual is declared out of reach
-MAX_REFINEMENTS = 3
 
 
 @dataclass(frozen=True)
 class SteadySolveConfig:
     residual_tol: float = 1e-10        # on max|L(rho)|, verified independently
     truncation_ceiling: float = 1e-6
-    clip_floor: float = 1e-10          # negative-eigenvalue clip magnitude
+    # eigenvalues in (-clip_floor, 0) are clipped, lower ones an error
+    clip_floor: float = 1e-10
 
     def __post_init__(self):
         if self.residual_tol <= 0:
@@ -60,7 +59,6 @@ class SteadySolution:
     rho: np.ndarray
     moments: fock.BlochMoments       # of rho
     residual: float                  # max|L(rho)| after post-processing
-    matvecs: int                     # refinement products a @ x
     truncation_mass: float
     eigenvalue_floor: float          # smallest eigenvalue before clipping
     adjustments: dict = field(default_factory=dict)  # see _post_process
@@ -68,29 +66,34 @@ class SteadySolution:
     phase_seconds: dict = field(default_factory=dict)
     n_sectors: int = 0               # particle-number sectors N = 0 .. top
     max_block_order: int = 0         # order of the largest sector block
+    # products with the generator in the solve: none since it is direct;
+    # kept for the benchmark's per-layer counter
+    matvecs: int = 0
 
     def diagnostics(self) -> dict:
         """What the solve did, for a run manifest."""
-        return {"residual": self.residual, "matvecs": self.matvecs,
+        return {"residual": self.residual,
                 "adjustments": self.adjustments,
                 "phase_seconds": self.phase_seconds,
                 "n_sectors": self.n_sectors,
                 "max_block_order": self.max_block_order}
 
 
-def _sector_eliminator(gen: sp.csr_array, offsets: np.ndarray):
-    """Factor the pinned system a (gen with its first row replaced by
-    x_0 = b_0) by block elimination over the number sectors, whose packed
-    ranges are offsets[N]:offsets[N + 1], and return solve(b) for
-    a @ x = b.  Sector 0 holds rho_00 alone.  The arithmetic is that of
-    gen: real for the generator in Hermitian coordinates.
+def _eliminate(gen: sp.csr_array, offsets: np.ndarray) -> np.ndarray:
+    """Solve the pinned system (gen with its first row replaced by the pin
+    x_0 = 1; every other equation homogeneous) by block elimination over
+    the number sectors, whose packed ranges are offsets[N]:offsets[N + 1].
+    Sector 0 holds rho_00 alone.  The arithmetic is that of gen: real for
+    the generator in Hermitian coordinates.
 
     With A_N, G_N and L_N the blocks of sector N's rows in the columns of
     sectors N, N - 1 and N + 1, the backward sweep forms
     M_N = A_N + L_N S_{N+1} with S_N = -M_N^{-1} G_N from M_top = A_top
-    down and keeps only the LU factors of the M_N.  Raises
-    ConvergenceError naming the sector whose factor or solution is not
-    finite or singular."""
+    down and keeps only the LU factors of the M_N.  The right-hand side
+    vanishes outside sector 0, so the forward pass is x_0 = 1,
+    x_N = -M_N^{-1} G_N x_{N-1}.  Raises ConvergenceError naming the
+    sector whose factor is singular or not finite, or whose solution is
+    not finite."""
     top = len(offsets) - 2
     rows = [gen[offsets[n]:offsets[n + 1]] for n in range(top + 1)]
 
@@ -98,13 +101,12 @@ def _sector_eliminator(gen: sp.csr_array, offsets: np.ndarray):
         return rows[n][:, offsets[m]:offsets[m + 1]]
 
     gains = [None] + [block(n, n - 1) for n in range(1, top + 1)]
-    losses = [None] + [block(n, n + 1) for n in range(1, top)]
     factors = [None] * (top + 1)
     s_next = None
     for n in range(top, 0, -1):
         m = block(n, n).toarray()
         if s_next is not None:
-            m += losses[n] @ s_next
+            m += block(n, n + 1) @ s_next
         lu, piv = sla.lu_factor(m, overwrite_a=True, check_finite=False)
         if not (np.all(np.isfinite(lu)) and np.all(np.diagonal(lu))):
             raise ConvergenceError(
@@ -115,81 +117,51 @@ def _sector_eliminator(gen: sp.csr_array, offsets: np.ndarray):
             s_next = -sla.lu_solve(factors[n], gains[n].toarray(),
                                    check_finite=False)
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        c = [b[:1]] + [None] * top
-        for n in range(top, 0, -1):
-            r = b[offsets[n]:offsets[n + 1]]
-            if n < top:
-                r = r - losses[n] @ c[n + 1]
-            c[n] = sla.lu_solve(factors[n], r, check_finite=False)
-        x = [c[0]]
-        for n in range(1, top + 1):
-            x.append(c[n] - sla.lu_solve(factors[n], gains[n] @ x[n - 1],
-                                         check_finite=False))
-            if not np.all(np.isfinite(x[n])):
-                raise ConvergenceError(
-                    f"steady-state solve: sector N = {n} solution is not "
-                    "finite")
-        return np.concatenate(x)
-
-    return solve
-
-
-def _pinned_residual(gen: sp.csr_array, x: np.ndarray) -> np.ndarray:
-    """b - a @ x for the pinned system: b = e_0, a = gen with its first
-    row replaced by e_0."""
-    r = -(gen @ x)
-    r[0] = 1.0 - x[0]
-    return r
+    x = [np.ones(1)]
+    for n in range(1, top + 1):
+        x.append(-sla.lu_solve(factors[n], gains[n] @ x[n - 1],
+                               check_finite=False))
+        if not np.all(np.isfinite(x[n])):
+            raise ConvergenceError(
+                f"steady-state solve: sector N = {n} solution is not "
+                "finite")
+    return np.concatenate(x)
 
 
 def solve_steady(params: SystemParams, basis: TwoModeBasis,
                  config: SteadySolveConfig = SteadySolveConfig()
                  ) -> SteadySolution:
-    """Solve for the steady state; hard errors on non-convergence or
+    """Solve for the steady state; hard errors on a residual at or above
+    config.residual_tol, an eigenvalue at or below -config.clip_floor or
     boundary-mass overflow, each with diagnostics in the message."""
     if params.gamma <= 0:
         raise ValueError(
             "steady state undefined at gamma = 0: every mixture of "
             "Hamiltonian eigenprojectors is stationary")
-    seconds = dict.fromkeys(("build", "eliminate", "post_process", "verify"),
-                            0.0)
+    seconds = {}
     last = time.perf_counter()
 
     def lap(phase):
         nonlocal last
         now = time.perf_counter()
-        seconds[phase] += now - last
+        seconds[phase] = now - last
         last = now
 
     space = liouville.number_block_space(basis)
     gen = liouville.build_number_block_generator(params, basis)
     lap("build")
-    solve = _sector_eliminator(gen, space.offsets)
-    b = np.zeros(space.size)
-    b[0] = 1.0
-    x = solve(b)
+    x = _eliminate(gen, space.offsets)
     lap("eliminate")
-    matvecs = 0
-    while True:
-        rho, adjustments, floor = _post_process(
-            liouville.unpack_block(x / x[space.diag_positions].sum(), space),
-            config, space.sectors)
-        lap("post_process")
-        residual = float(np.max(np.abs(
-            liouville.apply_liouvillian(rho, params, basis))))
-        lap("verify")
-        if residual < config.residual_tol:
-            break
-        if matvecs == MAX_REFINEMENTS:
-            raise ConvergenceError(
-                f"steady-state solve stalled: achieved residual "
-                f"{residual:.3e} (tolerance {config.residual_tol:.3e}) "
-                f"after {matvecs} refinement steps")
-        x = x + solve(_pinned_residual(gen, x))
-        matvecs += 1
-        lap("eliminate")
-
+    rho, adjustments, floor = _post_process(
+        liouville.unpack_block(x / x[space.diag_positions].sum(), space),
+        config, space.sectors)
+    lap("post_process")
+    residual = float(np.max(np.abs(
+        liouville.apply_liouvillian(rho, params, basis))))
+    if residual >= config.residual_tol:
+        raise ConvergenceError(
+            f"steady-state solve: achieved residual {residual:.3e} is not "
+            f"below the tolerance {config.residual_tol:.3e}")
     mass = fock.truncation_mass(rho, basis)
     if mass > config.truncation_ceiling:
         raise TruncationOverflowError(
@@ -200,38 +172,42 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
     lap("verify")
     return SteadySolution(
         rho=rho, moments=fock.bloch_moments(rho, basis), residual=residual,
-        matvecs=matvecs, truncation_mass=mass, eigenvalue_floor=floor,
+        truncation_mass=mass, eigenvalue_floor=floor,
         adjustments=adjustments,
         phase_seconds=seconds, n_sectors=len(space.sectors),
         max_block_order=int(np.max(np.diff(space.offsets))),
     )
 
 
-def _post_process(rho_raw: np.ndarray, config: SteadySolveConfig,
-                  sectors=None):
-    """Hermitize, clip negligible negative eigenvalues, renormalize;
-    every adjustment is recorded.  Also returns the smallest eigenvalue
-    of the hermitized state before clipping.  `sectors` lists index sets
-    outside of whose diagonal blocks rho_raw vanishes; each block is
-    diagonalized on its own (default: the whole matrix as one block)."""
-    rho = 0.5 * (rho_raw + rho_raw.conj().T)
-    herm_delta = float(np.max(np.abs(rho - rho_raw)))
-    if sectors is None:
-        sectors = (np.arange(len(rho)),)
+def _post_process(rho_raw: np.ndarray, config: SteadySolveConfig, sectors):
+    """Clip negligible negative eigenvalues and renormalize to unit trace;
+    both adjustments are recorded.  Also returns the smallest eigenvalue
+    before clipping.  rho_raw is Hermitian, as `liouville.unpack_block`
+    builds it, and vanishes outside the diagonal blocks of the index sets
+    `sectors`, one per total particle number N; each block is
+    diagonalized on its own.  Raises ConvergenceError naming the sector
+    of an eigenvalue at or below -config.clip_floor."""
+    # a copy whose exact zeros are all +0.0, whatever their signs in x
+    rho = rho_raw + 0.0
     floor, clipped = np.inf, 0.0
-    for sec in sectors:
+    for n, sec in enumerate(sectors):
         blk = np.ix_(sec, sec)
         evals, evecs = np.linalg.eigh(rho[blk])
-        floor = min(floor, float(evals.min()))
-        clip_mask = (evals < 0) & (evals > -config.clip_floor)
-        if clip_mask.any():
-            clipped -= float(evals[clip_mask].sum())
-            evals = np.where(clip_mask, 0.0, evals)
+        lowest = float(evals.min())
+        if lowest <= -config.clip_floor:
+            raise ConvergenceError(
+                f"steady-state solve: sector N = {n} has eigenvalue "
+                f"{lowest:.3e}, at or below -clip_floor = "
+                f"{-config.clip_floor:.3e}")
+        floor = min(floor, lowest)
+        negative = evals < 0
+        if negative.any():
+            clipped -= float(evals[negative].sum())
+            evals = np.where(negative, 0.0, evals)
             rho[blk] = (evecs * evals) @ evecs.conj().T
     tr = np.trace(rho).real
     rho = rho / tr
     return rho, {
-        "hermitization_max_abs": herm_delta,
         "clipped_negative_mass": clipped,
         "trace_renormalization": float(abs(tr - 1.0)),
     }, floor
@@ -266,7 +242,8 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
                      basis: TwoModeBasis, *, perturbation_scale: float = 0.05,
                      t_horizon: float = 20.0, n_perturbations: int = 3,
                      sample_interval: float | None = None,
-                     config: liouville.PropagationConfig | None = None,
+                     config: liouville.PropagationConfig =
+                     liouville.PropagationConfig(truncation_ceiling=1e-3),
                      seed: int = 0) -> AttractorReport:
     """Propagate perturbed states and report their trace-norm distance to
     the steady state, with a per-trajectory exponential decay fit over the
@@ -281,12 +258,7 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
     sector's generator directly.
     """
     rng = np.random.default_rng(seed)
-    if config is None:
-        config = liouville.PropagationConfig(truncation_ceiling=1e-3)
     ts = sample_grid(t_horizon, sample_interval, 40)
-
-    from .ode import integrate_dp45
-
     space = liouville.number_block_space(basis)
     gen = liouville.build_number_block_generator(params, basis)
     bpos = space.boundary_diag_positions

@@ -148,9 +148,8 @@ def test_custom_steady_manifest_reports_the_solve(tmp_path):
     assert set(diag["phase_seconds"]) == {"build", "eliminate",
                                           "post_process", "verify"}
     assert diag["n_sectors"] == 13 and diag["max_block_order"] == 49
-    assert diag["matvecs"] == 0 and diag["residual"] < 1e-10
-    assert set(diag["adjustments"]) == {"hermitization_max_abs",
-                                        "clipped_negative_mass",
+    assert diag["residual"] < 1e-10
+    assert set(diag["adjustments"]) == {"clipped_negative_mass",
                                         "trace_renormalization"}
 
 

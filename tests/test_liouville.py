@@ -127,6 +127,9 @@ def test_hermitian_coordinates_round_trip(small_setup):
     coords = liouville.pack_block(rho, space)
     assert coords.dtype == float and coords.shape == (space.size,)
     assert np.array_equal(liouville.unpack_block(coords, space), rho)
+    # any real coordinates unpack to an exactly Hermitian matrix
+    r = liouville.unpack_block(rng.normal(size=space.size), space)
+    assert np.array_equal(r, r.conj().T)
 
 
 def test_rabi_oscillation():

@@ -1,5 +1,6 @@
-"""Every public top-level function and class of the package has a caller,
-and every public field and property of its public classes a reader.
+"""Every public top-level function and class of the package, and every
+public UPPER_CASE constant of its public modules, has a caller, and every
+public field and property of its public classes a reader.
 
 A name counts as used when code in the package or in the benchmark
 (perfbench/) refers to it outside its own definition, by name, attribute
@@ -34,6 +35,8 @@ ORACLE_ONLY = {
         "test_acceptance.py::test_criterion_08_attractor_rate",
     ("meanfield", "angle_velocities"):
         "test_acceptance.py::test_criterion_10_meanfield_consistency",
+    ("fock", "COMPONENT_NAMES"):
+        "test_acceptance.py::test_criterion_09_closure_consistency_gate",
 }
 
 ORACLE_MEMBERS = {
@@ -63,10 +66,24 @@ def _is_reexport(stmt) -> bool:
         isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
 
 
+def _constant_name(stmt):
+    """The UPPER_CASE name a module-level assignment binds, or None."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+    elif isinstance(stmt, ast.AnnAssign):
+        target = stmt.target
+    else:
+        return None
+    if isinstance(target, ast.Name) and target.id.isupper():
+        return target.id
+    return None
+
+
 def _scan(paths):
-    """Public top-level definitions of the package modules, and every
-    (referenced name, owner) pair, the owner being the enclosing top-level
-    definition as (module, name), or None at module level."""
+    """Public top-level definitions of the package modules (functions,
+    classes, and the UPPER_CASE constants of the public modules), and
+    every (referenced name, owner) pair, the owner being the enclosing
+    top-level definition as (module, name), or None at module level."""
     defs, refs = set(), []
     for path in paths:
         module = path.stem
@@ -76,6 +93,11 @@ def _scan(paths):
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 owner = (module, stmt.name)
                 if in_package and not stmt.name.startswith("_"):
+                    defs.add(owner)
+            elif name := _constant_name(stmt):
+                owner = (module, name)
+                if in_package and not module.startswith("_") \
+                        and not name.startswith("_"):
                     defs.add(owner)
             if _is_reexport(stmt):
                 continue

@@ -81,9 +81,9 @@ def test_matches_dense_null_vector(g, gamma):
 
 
 def test_sector_eliminator_solves_pinned_system():
-    # general right-hand sides, as in the refinement steps, against the
-    # assembled pinned system (first row replaced by x_0 = b_0), in the
-    # real Hermitian coordinates the solve runs in
+    # the elimination against the assembled pinned system (first row
+    # replaced by x_0 = 1, right-hand side e_0), in the real Hermitian
+    # coordinates the solve runs in
     basis = fock.build_basis(5)
     params = SystemParams.from_g(g=0.7, gamma=0.8, n0=3)
     space = liouville.number_block_space(basis)
@@ -92,13 +92,11 @@ def test_sector_eliminator_solves_pinned_system():
     a[0, :] = 0.0
     a[0, 0] = 1.0
     a = sp.csr_array(a)
-    solve = steadysolve._sector_eliminator(gen, space.offsets)
-    rng = np.random.default_rng(5)
-    b = rng.normal(size=space.size)
-    x = solve(b)
-    assert np.max(np.abs(a @ x - b)) < 1e-10 * np.max(np.abs(b))
-    assert np.allclose(steadysolve._pinned_residual(gen, x),
-                       np.eye(space.size)[0] - a @ x, atol=1e-12)
+    x = steadysolve._eliminate(gen, space.offsets)
+    b = np.zeros(space.size)
+    b[0] = 1.0
+    assert x[0] == 1.0
+    assert np.max(np.abs(a @ x - b)) < 1e-10
 
 
 def _generator_with_block(basis, params, rows_sector, cols_sector, value):
@@ -151,13 +149,24 @@ def test_config_validation():
         steadysolve.SteadySolveConfig(residual_tol=0.0)
 
 
-def test_eigenvalue_floor_is_taken_before_clipping():
+@pytest.mark.parametrize("smallest", [-1e-12, -1e-6])
+def test_eigenvalue_floor_is_taken_before_clipping(smallest):
+    # an eigenvalue in (-clip_floor, 0) is clipped and its mass recorded;
+    # one at or below -clip_floor fails, naming its sector and its value
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3))
                         + 1j * rng.normal(size=(3, 3)))
-    rho = (q * np.array([0.6, 0.4 + 1e-12, -1e-12])) @ q.conj().T
+    rho = (q * np.array([0.6, 0.4 - smallest, smallest])) @ q.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
     cfg = steadysolve.SteadySolveConfig()
-    clipped, adjustments, floor = steadysolve._post_process(rho, cfg)
+    sectors = (np.arange(3),)
+    if smallest < -cfg.clip_floor:
+        with pytest.raises(ConvergenceError,
+                           match=f"sector N = 0 has eigenvalue {smallest:.3e}"):
+            steadysolve._post_process(rho, cfg, sectors)
+        return
+    clipped, adjustments, floor = steadysolve._post_process(rho, cfg,
+                                                            sectors)
     assert floor == pytest.approx(-1e-12, abs=1e-15)
     assert adjustments["clipped_negative_mass"] == pytest.approx(
         1e-12, abs=1e-15)
@@ -167,7 +176,8 @@ def test_eigenvalue_floor_is_taken_before_clipping():
 def test_post_process_per_sector_matches_whole_matrix():
     # block-diagonal state on interleaved index sets, one sector carrying
     # a -1e-12 eigenvalue: per-sector diagonalization gives the same state,
-    # floor and adjustments as one whole-matrix eigh
+    # floor and adjustments as one whole-matrix eigh (a single sector of
+    # every index)
     rng = np.random.default_rng(4)
     sectors = (np.array([0, 3]), np.array([1, 4, 5]), np.array([2]))
     spectra = ([0.3, 0.1], [0.35, 0.15 + 1e-12, -1e-12], [0.1])
@@ -177,8 +187,10 @@ def test_post_process_per_sector_matches_whole_matrix():
         q, _ = np.linalg.qr(rng.normal(size=(d, d))
                             + 1j * rng.normal(size=(d, d)))
         rho[np.ix_(sec, sec)] = (q * np.array(evals)) @ q.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
     cfg = steadysolve.SteadySolveConfig()
-    whole, adj_whole, floor_whole = steadysolve._post_process(rho, cfg)
+    whole, adj_whole, floor_whole = steadysolve._post_process(
+        rho, cfg, (np.arange(len(rho)),))
     split, adj_split, floor_split = steadysolve._post_process(rho, cfg,
                                                               sectors)
     assert floor_split == pytest.approx(-1e-12, abs=1e-15)
@@ -216,7 +228,6 @@ def test_solution_reports_its_work(fig3_steady, basis24):
     assert all(t >= 0.0 for t in sol.phase_seconds.values())
     assert sol.n_sectors == 2 * basis24.cutoff + 1
     assert sol.max_block_order == (basis24.cutoff + 1) ** 2
-    assert sol.diagnostics()["matvecs"] == sol.matvecs == 0
 
 
 def test_attractor_perturbation_respects_ceiling():
