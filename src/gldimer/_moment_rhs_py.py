@@ -145,3 +145,67 @@ def moment_jacobian(y, J, U, gamma_gain, gamma_loss):
         0.0,
     ]
     return rows, d_du
+
+
+def moment_rate_jacobian(y, J, U, gamma_gain, gamma_loss):
+    """Columns d out[i] / d gamma_gain and d out[i] / d gamma_loss of
+    moment_rhs, as two lists.
+
+    y is any sequence of 14 numbers (an ndarray is unpacked to Python
+    floats first)."""
+    if isinstance(y, np.ndarray):
+        y = y.tolist()
+    gg = gamma_gain
+    gl = gamma_loss
+    sx, sy, sz, n, Dxx, Dxy, Dxz, Dxn, Dyy, Dyz, Dyn, Dzz, Dzn, Dnn = y
+    x0 = (0.5)*sx
+    x1 = (0.5)*sy
+    x2 = (0.5)*n
+    x3 = (0.5)*sz
+    x4 = x2 + x3 + 1
+    x5 = (0.25)*n
+    x6 = (0.25)*sz
+    x7 = x5 - x6
+    x8 = x7 + 0.5
+    x9 = Dxz + (0.25)*sx
+    x10 = Dxz + x0
+    x11 = Dyz + (0.25)*sy
+    x12 = Dyz + x1
+    x13 = (0.5)*Dzn
+    x14 = x5 + x6
+    x15 = (0.25)*Dnn + Dzz
+    x16 = Dnn + sz
+    x17 = n - sz
+    d_gain = [
+        x0,
+        x1,
+        x4,
+        x4,
+        Dxx + x8,
+        Dxy,
+        (0.25)*Dxn + x9,
+        Dxn + x10,
+        Dyy + x8,
+        (0.25)*Dyn + x11,
+        Dyn + x12,
+        Dzz + x13 + x14 + 0.5,
+        Dzn + x15 + x4,
+        2*Dzn + n + x16 + 2,
+    ]
+    d_loss = [
+        -x0,
+        -x1,
+        (0.5)*x17,
+        -0.5*x17,
+        -Dxx + x14,
+        -Dxy,
+        (0.25)*Dxn - x9,
+        -Dxn + x10,
+        -Dyy + x14,
+        (0.25)*Dyn - x11,
+        -Dyn + x12,
+        -Dzz + x13 + x7,
+        -Dzn + x15 - x2 + x3,
+        2*Dzn + n - x16,
+    ]
+    return d_gain, d_loss

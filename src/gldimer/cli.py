@@ -393,13 +393,20 @@ def _sweep_rows(config: ScenarioConfig, mode: str):
     return [_sweep(config, g, mode) for g in config["g_list"]]
 
 
+def _record_end(manifest: RunManifest, key: str, sweep) -> None:
+    """How the branch ended: boundary_<key>, end_<key>, sigma_min_<key>."""
+    manifest.diagnostics[f"boundary_{key}"] = sweep.boundary
+    manifest.diagnostics[f"end_{key}"] = sweep.end
+    manifest.diagnostics[f"sigma_min_{key}"] = sweep.sigma_min
+
+
 def _run_fig4(config: ScenarioConfig, writer: _Writer,
               manifest: RunManifest) -> None:
     sweeps = _sweep_rows(config, config["mode"])
     rows = []
     for sweep in sweeps:
         rows.extend(sweep.rows())
-        manifest.diagnostics[f"boundary_g{sweep.g}"] = sweep.boundary
+        _record_end(manifest, f"g{sweep.g}", sweep)
     manifest.diagnostics["root_search"] = bbr.sum_work(sweeps)
     writer.csv("fig4_steady_components.csv", bbr.SWEEP_COLUMNS, rows)
 
@@ -422,7 +429,7 @@ def _run_fig5(config: ScenarioConfig, writer: _Writer,
         sweeps = _sweep_rows(config, mode)
         writer.csv(curve_name, _PURITY_COLUMNS, _purity_rows(sweeps))
         for sweep in sweeps:
-            manifest.diagnostics[f"boundary_{mode}_g{sweep.g}"] = sweep.boundary
+            _record_end(manifest, f"{mode}_g{sweep.g}", sweep)
         # a grid value equal to a g_list value reuses that curve's sweep
         by_g = {sweep.g: sweep for sweep in sweeps}
         g_grid = np.linspace(0.0, config["g_grid_max"],

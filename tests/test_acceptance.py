@@ -160,7 +160,9 @@ def test_criterion_06_fixed_u_steady_branch():
         sweeps = {g: bbr.sweep_gamma(gammas, g, 100, "fixed-U")
                   for g in (0.1, 0.5, 1.0)}
         boundaries = {g: sweeps[g].boundary for g in sweeps}
-        print(f"  existence boundaries: {boundaries}")
+        for g, sweep in sweeps.items():
+            print(f"  g={g}: branch ends in a {sweep.end} at gamma = "
+                  f"{sweep.boundary:.10f}, sigma_min = {sweep.sigma_min:.2e}")
         assert boundaries[0.1] > boundaries[0.5] > boundaries[1.0]
 
         alpha_1 = cf.steady_alpha(
@@ -202,8 +204,9 @@ def test_criterion_07_constant_g_pure_steady_state():
         sweep = bbr.sweep_gamma(np.arange(0.1, 2.21, 0.02), 0.5, 100,
                                 "constant-g")
         max_p = max(st.purity for _g, st in sweep.existing_states())
-        print(f"  g=0.5: existence boundary {sweep.boundary:.4f}, "
-              f"max purity {max_p:.5f} (required > 0.99)")
+        print(f"  g=0.5: branch ends in a {sweep.end} at gamma = "
+              f"{sweep.boundary:.7f}, max purity over grid and tail "
+              f"{max_p:.5f} (required > 0.99)")
         assert max_p > 0.99
 
         grid_gammas = np.linspace(1.5, 2.0, 5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gldimer import bbr, closedform as cf, fock, liouville
-from gldimer.errors import InteractionSingularityError
+from gldimer.errors import ConvergenceError, InteractionSingularityError
 from gldimer.system import SystemParams
 
 from conftest import closure_defect, fd_moment_derivative
@@ -135,21 +135,119 @@ def test_stalled_search_reports_the_hybr_fallback(monkeypatch):
 def test_sweep_sums_the_work_of_its_searches(monkeypatch):
     results = []
     search = bbr.steady_root_search
+    calls = {"moment_rhs": 0, "moment_jacobian": 0}
 
     def recording(*args, **kwargs):
         results.append(search(*args, **kwargs))
         return results[-1]
 
+    def counting(name):
+        kernel = getattr(bbr._kernel, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return spy
+
     monkeypatch.setattr(bbr, "steady_root_search", recording)
+    for name in calls:
+        monkeypatch.setattr(bbr._kernel, name, counting(name))
     sweep = bbr.sweep_gamma(np.arange(0.2, 1.3, 0.1), 0.5, 100, "fixed-U")
     assert set(sweep.work) == set(bbr.WORK_KEYS)
     assert sweep.work["searches"] == len(results)
-    for key in ("kernel_calls", "jacobian_evals", "newton_steps",
-                "backtracks", "sentinel_hits"):
+    for key in ("newton_steps", "backtracks", "sentinel_hits"):
         assert sweep.work[key] == sum(getattr(r, key) for r in results)
     assert sweep.work["hybr_fallbacks"] == sum(r.fallback == "hybr"
                                                for r in results)
+    # the end game's evaluations count too: every kernel call and every
+    # Jacobian of the sweep, its last (sigma_min) included
+    assert sweep.work["kernel_calls"] == calls["moment_rhs"] > sum(
+        r.kernel_calls for r in results)
+    assert sweep.work["jacobian_evals"] == calls["moment_jacobian"]
+    assert sweep.work["arc_steps"] > 0 and sweep.work["corrector_steps"] > 0
     assert bbr.sum_work([sweep, sweep])["searches"] == 2 * len(results)
+
+
+def test_gamma_column_matches_central_difference():
+    # f is linear in gamma, so the central difference is exact up to
+    # rounding
+    for mode, y in JACOBIAN_CASES:
+        fun = bbr._Residual(SystemParams.from_g(g=0.5, gamma=0.8, n0=20),
+                            mode)
+        col = fun.gamma_column(y.tolist())
+        h = 1e-3
+        ref = (bbr.moment_rhs(y, SystemParams.from_g(0.5, 0.8 + h, 20), mode)
+               - bbr.moment_rhs(y, SystemParams.from_g(0.5, 0.8 - h, 20),
+                                mode)) / (2 * h)
+        assert np.max(np.abs(np.array(col) - ref)) < 1e-9 * max(
+            1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(ref)) > 0.1
+
+
+def test_fixed_u_branch_ends_in_a_located_fold(monkeypatch):
+    searched = []
+    search = bbr.steady_root_search
+
+    def recording(params, *args, **kwargs):
+        res = search(params, *args, **kwargs)
+        searched.append((params.gamma, res.found))
+        return res
+
+    monkeypatch.setattr(bbr, "steady_root_search", recording)
+    sweep = bbr.sweep_gamma(np.arange(0.2, 1.3, 0.1), 0.5, 100, "fixed-U")
+    assert sweep.end == "fold"
+    # the boundary_resolution=1e-7 bisection put the fold at 0.9990273
+    assert sweep.boundary == pytest.approx(0.9990273, abs=1e-6)
+    assert sweep.sigma_min < 1e-8
+    # the fold is the last tail state, the branch's largest gamma, and is
+    # the only state reported at that gamma
+    fold_gamma, fold = sweep.existing_states()[-1]
+    assert fold_gamma == sweep.boundary == max(
+        gamma for gamma, _ in sweep.existing_states())
+    assert 100 < fold.n < 300
+    # one search ran past the fold: the natural-continuation step that
+    # failed; the end game solved at no gamma past the branch's end
+    past = [found for gamma, found in searched if gamma > sweep.boundary]
+    assert past == [False]
+
+
+def test_constant_g_branch_diverges():
+    grid = np.arange(1.5, 2.01, 0.05)
+    sweep = bbr.sweep_gamma(grid, 0.3, 100, "constant-g")
+    assert sweep.end == "divergence"
+    exists = np.array([p.exists for p in sweep.points])
+    gammas = grid[exists]
+    assert not np.any(grid[~exists] < sweep.boundary)
+    assert gammas.max() < sweep.boundary < grid[~exists].min()
+    # the tail follows n over orders of magnitude toward the pure
+    # condensate, each state physical with its residual at the floor
+    ns = [p.state.n for p in sweep.tail]
+    assert np.all(np.diff(ns) > 0) and ns[-1] > 1e5
+    assert sweep.tail[-1].gamma == sweep.boundary
+    assert sweep.tail[-1].state.purity > 0.999
+    for p in sweep.tail:
+        params = SystemParams.from_g(g=0.3, gamma=p.gamma, n0=100)
+        y = p.state.vector
+        assert bbr._classify(y)
+        resid = np.max(np.abs(bbr.moment_rhs(y, params, bbr.ConstantG(0.3))))
+        assert resid < max(1e-9, bbr._residual_floor(y, params))
+
+
+def test_sweep_end_kinds_without_an_end_game():
+    sweep = bbr.sweep_gamma([0.2, 0.4], 0.1, 10, "fixed-U")
+    assert (sweep.end, sweep.boundary, sweep.tail) == ("grid end", None, [])
+    assert sweep.sigma_min > 0
+    # the constant-g g = 0.5 branch ends near gamma = 1.75
+    sweep = bbr.sweep_gamma([1.9, 1.95], 0.5, 100, "constant-g")
+    assert (sweep.end, sweep.boundary, sweep.sigma_min) == (
+        "no anchor", 1.9, None)
+    assert not any(p.exists for p in sweep.points)
+
+
+def test_end_game_that_finds_no_end_raises(monkeypatch):
+    monkeypatch.setattr(bbr, "ARC_MAX_STEPS", 2)
+    with pytest.raises(ConvergenceError, match="no end of the branch"):
+        bbr.sweep_gamma(np.arange(1.5, 2.01, 0.05), 0.3, 100, "constant-g")
 
 
 def test_constant_g_kernel_receives_python_floats(monkeypatch):

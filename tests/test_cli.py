@@ -118,6 +118,9 @@ def test_fig4_schema_and_boundary(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["diagnostics"]["boundary_g0.5"] == pytest.approx(
         0.999, abs=5e-3)
+    # the branch ends in a fold, where the Jacobian is singular
+    assert manifest["diagnostics"]["end_g0.5"] == "fold"
+    assert 0.0 <= manifest["diagnostics"]["sigma_min_g0.5"] < 1e-6
     work = manifest["diagnostics"]["root_search"]
     assert set(work) == set(bbr.WORK_KEYS)
     assert work["searches"] > 0 and work["kernel_calls"] > 0

@@ -19,9 +19,11 @@ which closes the hierarchy.  Everything is then rewritten in the Bloch
 variables (s_x, s_y, s_z, n) and their covariances Delta_jk, and the
 resulting expressions, and their derivatives, are emitted as
 
-    src/gldimer/_moment_rhs_py.py   the kernel `moment_rhs` and its
+    src/gldimer/_moment_rhs_py.py   the kernel `moment_rhs`, its
                                     Jacobian `moment_jacobian` (the 14 x 14
-                                    matrix at fixed U and the U column)
+                                    matrix at fixed U and the U column) and
+                                    `moment_rate_jacobian` (the columns in
+                                    gamma_gain and gamma_loss)
     src/gldimer/_closure_defects.py table of the factorized triples per
                                     component, for exact defect accounting
                                     in tests
@@ -32,8 +34,9 @@ The script verifies symbolically, before writing anything, that
  * the factorization only ever enters through terms proportional to U,
  * every emitted expression is real,
  * at U = 0 every covariance equation is linear in the state, and
- * the emitted `moment_jacobian`, run on symbols, equals the derivative of
-   the emitted `moment_rhs` run on symbols.
+ * the emitted `moment_jacobian` and `moment_rate_jacobian`, run on
+   symbols, equal the derivatives of the emitted `moment_rhs` run on
+   symbols.
 
 Run it from anywhere as
 
@@ -341,14 +344,15 @@ def derive() -> dict[str, str]:
 
     files = render_files(order, defects, pair_keys, state)
     check_emitted_jacobian(files["_moment_rhs_py.py"], state)
-    print("gate 3 passed: the emitted Jacobian is the derivative of the "
-          "emitted right-hand side")
+    print("gate 3 passed: the emitted Jacobian and rate columns are the "
+          "derivatives of the emitted right-hand side")
     return files
 
 
 def check_emitted_jacobian(source: str, state) -> None:
     """Run the emitted kernel module on symbols and assert that
-    `moment_jacobian` equals sp.diff of `moment_rhs`, entry by entry."""
+    `moment_jacobian` and `moment_rate_jacobian` equal sp.diff of
+    `moment_rhs`, entry by entry."""
     namespace = {}
     exec(compile(source, "_moment_rhs_py.py", "exec"), namespace)
     rhs = namespace["moment_rhs"](list(state), J, U, gg, gl, [0] * 14)
@@ -359,6 +363,12 @@ def check_emitted_jacobian(source: str, state) -> None:
             assert diff.is_zero, f"d out[{i}]/d y[{j}] mismatch: {diff}"
         diff = sp.expand(d_du[i] - sp.diff(f, U))
         assert diff.is_zero, f"d out[{i}]/dU mismatch: {diff}"
+    d_gain, d_loss = namespace["moment_rate_jacobian"](list(state), J, U,
+                                                       gg, gl)
+    for i, f in enumerate(rhs):
+        for column, rate in ((d_gain, gg), (d_loss, gl)):
+            diff = sp.expand(column[i] - sp.diff(f, rate))
+            assert diff.is_zero, f"d out[{i}]/d{rate} mismatch: {diff}"
 
 
 _HEADER_VARS = ["sx", "sy", "sz", "n", "Dxx", "Dxy", "Dxz", "Dxn",
@@ -391,6 +401,9 @@ def render_files(order, defects, pair_keys, state) -> dict[str, str]:
     jac = [sp.diff(e, v) for e in exprs for v in state]
     jac += [sp.diff(e, U) for e in exprs]
     jac_subs, jac_reduced = sp.cse(jac, optimizations="basic")
+    # the rate columns: d f / d gamma_gain, then d f / d gamma_loss
+    rates = [sp.diff(e, gg) for e in exprs] + [sp.diff(e, gl) for e in exprs]
+    rate_subs, rate_reduced = sp.cse(rates, optimizations="basic")
     size = len(state)
 
     py_lines = [
@@ -451,6 +464,29 @@ def render_files(order, defects, pair_keys, state) -> dict[str, str]:
     py_lines += [f"        {c}," for c in jac_code[size * size:]]
     py_lines.append("    ]")
     py_lines.append("    return rows, d_du")
+    py_lines += [
+        "",
+        "",
+        "def moment_rate_jacobian(y, J, U, gamma_gain, gamma_loss):",
+        '    """Columns d out[i] / d gamma_gain and d out[i] / d gamma_loss of',
+        "    moment_rhs, as two lists.",
+        "",
+        "    y is any sequence of 14 numbers (an ndarray is unpacked to Python",
+        '    floats first)."""',
+        "    if isinstance(y, np.ndarray):",
+        "        y = y.tolist()",
+        "    gg = gamma_gain",
+        "    gl = gamma_loss",
+        f"    {', '.join(_HEADER_VARS)} = y",
+    ]
+    py_lines += [f"    {sym} = {_code(val)}" for sym, val in rate_subs]
+    rate_code = ["0.0" if e == 0 else _code(e) for e in rate_reduced]
+    for name, column in (("d_gain", rate_code[:size]),
+                         ("d_loss", rate_code[size:])):
+        py_lines.append(f"    {name} = [")
+        py_lines += [f"        {c}," for c in column]
+        py_lines.append("    ]")
+    py_lines.append("    return d_gain, d_loss")
 
     # defect table: component index -> [(complex coeff over U, triple), ...]
     defect_lines = [
