@@ -27,10 +27,11 @@ the chain rule through U = g/(n-1).  The steady-state root search holds
 its iterate, residuals and Newton steps as lists of Python floats and
 calls the kernel with them: the same IEEE operations in the same order as
 on numpy scalars, so the results are bit for bit those of the array form,
-at about a third of the cost per evaluation.  numpy builds the Jacobian
-matrix and solves the Newton system.
+at about a third of the cost per evaluation.  LAPACK's `dgesv` solves the
+Newton system directly on the Jacobian's row lists.
 
-`sweep_gamma` follows a branch over a gamma grid by natural continuation.
+`sweep_gamma` follows a branch over a gamma grid by natural continuation,
+each grid step predicted by the secant through the two grid states before.
 Where a grid step fails, its end game follows the branch in
 pseudo-arclength from the last found state, with the analytic Jacobian
 and the analytic df/dgamma (`_moment_rhs_py.moment_rate_jacobian`), until
@@ -46,11 +47,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
+from scipy.linalg.lapack import dgesv as _dgesv
 
 from . import _moment_rhs_py as _kernel
 from .errors import ConvergenceError, InteractionSingularityError
-from .fock import MIN_PARTICLE_NUMBER, BlochMoments, MomentTrajectory
+from .fock import (MIN_PARTICLE_NUMBER, BlochMoments, MomentTrajectory,
+                   _purity)
 from .ode import integrate_dp45, sample_grid
 from .system import SystemParams
 
@@ -66,6 +68,8 @@ _N_SINGULAR = 1.0 + 1e-6
 _EPS = float(np.finfo(float).eps)
 # Newton iterations a root search may take before it reports its best point
 MAX_ITERATIONS = 200
+# stalled Newton iterations in a row after which a root search gives up
+STALL_LIMIT = 5
 
 
 @dataclass(frozen=True)
@@ -156,10 +160,8 @@ class RootResult:
     sentinel_hits those inside the constant-g singular band (residual
     sentinel or zero Jacobian), jacobian_evals the analytic Jacobians,
     newton_steps the Newton systems solved and backtracks the rejected
-    line-search trials.  fallback names the heaviest fallback the search
-    used: "hybr" (the trust-region root finder after a stall) over
-    "lstsq" (a least-squares Newton step on a singular Jacobian) over
-    None."""
+    line-search trials.  fallback is "lstsq" when the search took a
+    least-squares Newton step on a singular Jacobian, else None."""
 
     state: BlochMoments | None
     converged: bool
@@ -182,7 +184,7 @@ class RootResult:
 # searches, the arc steps and corrector Newton steps of its end games, and
 # the kernel calls, Jacobians and sentinel hits of both
 WORK_KEYS = ("searches", "kernel_calls", "jacobian_evals", "newton_steps",
-             "backtracks", "hybr_fallbacks", "lstsq_fallbacks",
+             "backtracks", "lstsq_fallbacks",
              "sentinel_hits", "arc_steps", "corrector_steps")
 
 
@@ -203,14 +205,13 @@ def _tally(work: dict, res: RootResult) -> RootResult:
 
 
 def _classify(y) -> bool:
-    state = BlochMoments.from_vector(y)
-    if state.n <= MIN_PARTICLE_NUMBER:
-        return False
-    if state.purity > 1.0 + 1e-8:
-        return False
-    if np.min(np.diagonal(state.delta)) < -1e-8:
-        return False
-    return True
+    """Whether the moment vector y is physical: n above
+    MIN_PARTICLE_NUMBER, purity (the formula of `BlochMoments.purity`) at
+    most 1 + 1e-8 and every covariance diagonal at least -1e-8."""
+    n = y[3]
+    return (n > MIN_PARTICLE_NUMBER
+            and _purity(y[0], y[1], y[2], n) <= 1.0 + 1e-8
+            and min(y[4], y[8], y[11], y[13]) >= -1e-8)
 
 
 def _max_abs(v) -> float:
@@ -231,22 +232,22 @@ class _Residual:
     Jacobian is zero."""
 
     def __init__(self, params: SystemParams, mode: BbrMode):
-        self.params = params
         self.mode = mode
+        self._set_params(params)
         self.kernel_calls = 0
         self.jacobian_evals = 0
         self.sentinel_hits = 0
+
+    def _set_params(self, params: SystemParams) -> None:
+        self.params = params
+        self.consts = (float(params.J), float(params.gamma_gain),
+                       float(params.gamma_loss))
 
     def at_gamma(self, gamma: float) -> None:
         """Re-point the residual at gamma; U, and with it the mode, does
         not depend on gamma."""
         if gamma != self.params.gamma:
-            self.params = replace(self.params, gamma=gamma)
-
-    @property
-    def consts(self) -> tuple[float, float, float]:
-        p = self.params
-        return float(p.J), float(p.gamma_gain), float(p.gamma_loss)
+            self._set_params(replace(self.params, gamma=gamma))
 
     def __call__(self, y):
         out = [0.0] * 14
@@ -258,8 +259,8 @@ class _Residual:
         self.kernel_calls += 1
         return out
 
-    def jacobian(self, y) -> np.ndarray:
-        """d residual / d y as a 14 x 14 array.  In constant-g mode the n
+    def jacobian_rows(self, y) -> list:
+        """d residual / d y as 14 row lists.  In constant-g mode the n
         column carries the chain-rule term df/dU * dU/dn, with
         dU/dn = -g/(n-1)^2."""
         self.jacobian_evals += 1
@@ -267,14 +268,18 @@ class _Residual:
             u = float(_resolve_u(y, self.mode))
         except InteractionSingularityError:
             self.sentinel_hits += 1
-            return np.zeros((14, 14))
+            return [[0.0] * 14 for _ in range(14)]
         J, gain, loss = self.consts
         rows, d_du = _kernel.moment_jacobian(y, J, u, gain, loss)
         if isinstance(self.mode, ConstantG):
             du_dn = -float(self.mode.g) / (float(y[3]) - 1.0) ** 2
             for row, d in zip(rows, d_du):
                 row[3] += d * du_dn
-        return np.array(rows)
+        return rows
+
+    def jacobian(self, y) -> np.ndarray:
+        """`jacobian_rows` as a 14 x 14 array."""
+        return np.array(self.jacobian_rows(y))
 
     def gamma_column(self, y) -> list:
         """d residual / d gamma, through gamma_gain = gamma n0/(n0 + 2) and
@@ -304,14 +309,17 @@ def _residual_floor(y, params: SystemParams) -> float:
 def steady_root_search(params: SystemParams, mode: BbrMode,
                        initial_guess: BlochMoments, *,
                        residual_tol: float = 1e-10) -> RootResult:
-    """Damped Newton iteration on the moment equations, with a
-    trust-region fallback on stagnation.
+    """Damped Newton iteration on the moment equations.
 
-    Both the Newton step and the fallback (scipy's `hybr`, after five
-    stalled iterations) use the generated analytic Jacobian; a singular
-    Jacobian (as in the constant-g singular band, where it is zero) gets
-    a least-squares step.  Convergence requires the residual infinity
-    norm to fall below residual_tol or, when the state's magnitude puts
+    Each Newton step solves the system of the generated analytic Jacobian
+    with LAPACK's `dgesv`; a singular Jacobian (as in the constant-g
+    singular band, where it is zero) gets a least-squares step instead.
+    A backtracking line search accepts the first of the step fractions
+    1, 1/2, ..., 1/32 that lowers the residual infinity norm.  After
+    STALL_LIMIT stalled iterations in a row (no fraction lowered the norm,
+    or none by a tenth) the search stops at its best point, the last
+    accepted iterate.  Convergence requires the residual infinity norm to
+    fall below residual_tol or, when the state's magnitude puts
     floating-point noise above that, below the evaluation noise floor.  A
     converged root is classified physical iff its purity is <= 1 + 1e-8
     and all covariance diagonals are >= -1e-8; unphysical roots are
@@ -319,8 +327,8 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
     carries the search's work counts (see RootResult).
 
     The iterate, residuals and steps are lists of floats (never modified
-    in place, so they are shared rather than copied); numpy only builds
-    and solves the Newton system.
+    in place, so they are shared rather than copied), and each residual
+    keeps its norm.
     """
     fun = _Residual(params, mode)
 
@@ -329,57 +337,39 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
 
     y = initial_guess.vector.tolist()
     f = fun(y)
-    best_y, best_norm = y, _max_abs(f)
-    iterations = newton_steps = backtracks = 0
+    norm = _max_abs(f)
+    iterations = newton_steps = backtracks = stall = 0
     fallback = None
-    stall = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        norm = _max_abs(f)
         if norm < tol_at(y):
             break
-        jac = fun.jacobian(y)
-        neg_f = -np.array(f)
+        rows = fun.jacobian_rows(y)
+        neg_f = [-v for v in f]
         newton_steps += 1
-        try:
-            step = np.linalg.solve(jac, neg_f).tolist()
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, neg_f, rcond=None)[0].tolist()
-            fallback = fallback or "lstsq"
-        improved = False
+        step, info = _dgesv(rows, neg_f)[2:]
+        if info > 0:
+            step = np.linalg.lstsq(np.array(rows), neg_f, rcond=None)[0]
+            fallback = "lstsq"
+        step = step.tolist()
         for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             y_new = [a + lam * b for a, b in zip(y, step)]
             f_new = fun(y_new)
-            if _max_abs(f_new) < norm:
-                y, f = y_new, f_new
-                improved = True
+            norm_new = _max_abs(f_new)
+            if norm_new < norm:
+                stall = stall + 1 if norm_new > 0.9 * norm else 0
+                y, f, norm = y_new, f_new, norm_new
                 break
             backtracks += 1
-        new_norm = _max_abs(f)
-        if new_norm < best_norm:
-            best_y, best_norm = y, new_norm
-        if not improved or new_norm > 0.9 * norm:
-            stall += 1
         else:
-            stall = 0
-        if stall >= 5:
-            fallback = "hybr"
-            sol = scipy.optimize.root(fun, best_y, jac=fun.jacobian,
-                                      method="hybr", options={"xtol": 1e-13})
-            if sol.success:
-                y = sol.x.tolist()
-                f = fun(y)
-                if _max_abs(f) < best_norm:
-                    best_y, best_norm = y, _max_abs(f)
-            stall = 0
-            if _max_abs(f) >= norm:
-                break  # no further progress available
+            stall += 1
+        if stall == STALL_LIMIT:
+            break
 
-    residual = _max_abs(fun(best_y))
-    converged = residual < tol_at(best_y)
-    physical = converged and _classify(best_y)
+    converged = norm < tol_at(y)
+    physical = converged and _classify(y)
     return RootResult(
-        state=BlochMoments.from_vector(best_y) if converged else None,
-        converged=converged, physical=physical, residual=residual,
+        state=BlochMoments.from_vector(y) if converged else None,
+        converged=converged, physical=physical, residual=norm,
         iterations=iterations, kernel_calls=fun.kernel_calls,
         jacobian_evals=fun.jacobian_evals, newton_steps=newton_steps,
         backtracks=backtracks, fallback=fallback,
@@ -643,6 +633,16 @@ def _end_game(params: SystemParams, mode: BbrMode, y, target: float,
     return end, gamma, y, tail
 
 
+def _secant(a, b, target: float) -> BlochMoments:
+    """The secant predictor at gamma = target from the grid states
+    a = (gamma_a, y_a) and b = (gamma_b, y_b), gamma_a < gamma_b < target,
+    its step from y_b no longer than y_b - y_a (Allgower & Georg 2003)."""
+    (gamma_a, y_a), (gamma_b, y_b) = a, b
+    lam = min(1.0, (target - gamma_b) / (gamma_b - gamma_a))
+    return BlochMoments.from_vector(
+        [q + lam * (q - p) for p, q in zip(y_a, y_b)])
+
+
 def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
                 residual_tol: float = 1e-9,
                 boundary_resolution: float = 1e-4) -> GammaSweep:
@@ -651,7 +651,9 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
     The branch is anchored at the first grid point by one root search from
     the analytic non-interacting steady state (no root there: no point
     exists, end "no anchor") and followed by natural continuation, each
-    grid point warm-started from the one before.  Where that search fails,
+    grid search started from the secant predictor through the two grid
+    states before, or from the state before alone when it is the anchor
+    or the end game's return to the grid.  Where that search fails,
     the end game (`_end_game`) follows the branch in pseudo-arclength from
     the last found state: back onto the grid, where natural continuation
     resumes, or to the branch's end, a fold located by a secant on the
@@ -678,16 +680,21 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
     points.append(SweepPoint(gamma=grid[0], g=g, exists=True,
                              state=res.state))
     state = res.state
+    # the grid state before `state` as (gamma, vector); None at the anchor
+    # and where the end game came back onto the grid
+    before = None
 
     end, boundary = "grid end", None
     next_idx = 1
     while next_idx < len(grid):
         target = float(grid[next_idx])
         params_t, mode = _params_at(target, g, n0, J, mode_kind)
-        res = _tally(work, steady_root_search(params_t, mode, state,
+        current = (params.gamma, state.vector.tolist())
+        guess = state if before is None else _secant(before, current, target)
+        res = _tally(work, steady_root_search(params_t, mode, guess,
                                               residual_tol=residual_tol))
         if res.found:
-            state = res.state
+            before, state = current, res.state
         else:
             kind, gamma, y, arc_tail = _end_game(
                 params, mode, state.vector.tolist(), target, residual_tol,
@@ -700,6 +707,7 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
                 params = replace(params, gamma=gamma)
                 break
             state = BlochMoments.from_vector(y)
+            before = None
         params = params_t
         points.append(SweepPoint(gamma=target, g=g, exists=True,
                                  state=state))

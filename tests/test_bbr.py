@@ -100,7 +100,7 @@ def test_singular_band_has_a_zero_jacobian_and_no_error_escapes():
     y = guess.vector
     fun = bbr._Residual(params, mode)
     assert fun(y.tolist()) == [1e6] * 14
-    # an ndarray input (as the hybr fallback passes) gets the same answers
+    # an ndarray input gets the same answers
     assert fun(y) == [1e6] * 14
     assert not np.any(fun.jacobian(y.tolist()))
     assert not np.any(fun.jacobian(y))
@@ -108,11 +108,13 @@ def test_singular_band_has_a_zero_jacobian_and_no_error_escapes():
     res = bbr.steady_root_search(params, mode, guess)
     assert isinstance(res, bbr.RootResult)
     assert res.sentinel_hits > 0
+    # the zero Jacobian is singular, so the Newton step is a least-squares one
+    assert res.fallback == "lstsq"
 
 
-def test_stalled_search_reports_the_hybr_fallback(monkeypatch):
-    # from a pure state along x the damped Newton steps stall five times,
-    # and the trust-region fallback, on the analytic Jacobian, finds the root
+def test_stalled_search_gives_up_after_five_stalls(monkeypatch):
+    # from a pure state along x the damped Newton steps stall five times in
+    # a row, and the search stops there without a root
     calls = []
     rhs = bbr.moment_rhs
 
@@ -124,12 +126,84 @@ def test_stalled_search_reports_the_hybr_fallback(monkeypatch):
     params, mode = bbr._params_at(0.5, 0.5, 100, 1.0, "fixed-U")
     res = bbr.steady_root_search(params, mode,
                                  bbr.pure_state_moments(np.pi / 2, 0.0, 20))
-    assert res.found
-    assert res.fallback == "hybr"
+    assert not res.found and res.fallback is None
     assert res.newton_steps >= 5
-    assert res.jacobian_evals > res.newton_steps  # hybr used the Jacobian
     assert res.backtracks > 0
     assert res.kernel_calls == len(calls) and res.sentinel_hits == 0
+    # the sweep reaches the same point from its warm start
+    searched = []
+    search = bbr.steady_root_search
+
+    def recording(params, *args, **kwargs):
+        res = search(params, *args, **kwargs)
+        searched.append((params.gamma, res.found))
+        return res
+
+    monkeypatch.setattr(bbr, "steady_root_search", recording)
+    sweep = bbr.sweep_gamma([0.3, 0.4, 0.5], 0.5, 100, "fixed-U")
+    assert searched[-1] == (0.5, True)
+    assert sweep.points[-1].exists and sweep.tail == []
+
+
+def _classify_reference(y) -> bool:
+    """The physical-root predicate on `fock.BlochMoments`."""
+    state = fock.BlochMoments.from_vector(y)
+    if state.n <= fock.MIN_PARTICLE_NUMBER:
+        return False
+    if state.purity > 1.0 + 1e-8:
+        return False
+    return np.min(np.diagonal(state.delta)) >= -1e-8
+
+
+def test_classify_agrees_with_the_blochmoments_predicate():
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(300):
+        y = rng.normal(scale=5.0, size=14)
+        y[3] = abs(y[3]) * rng.choice([0.2, 1.0, 10.0])
+        cases.append(y)
+    base = bbr.pure_state_moments(1.0, 0.3, 20).vector
+    for n in (fock.MIN_PARTICLE_NUMBER, 0.5 * fock.MIN_PARTICLE_NUMBER,
+              0.0, -1.0):
+        y = base.copy()
+        y[3] = n
+        cases.append(y)
+    for excess in (0.5e-8, 2e-8):
+        # purity 1 + excess, just inside and just past the bound
+        y = base.copy()
+        y[3] = np.linalg.norm(y[:3]) / np.sqrt(1.0 + excess)
+        cases.append(y)
+    for k in (4, 8, 11, 13):
+        for value in (-0.5e-8, -2e-8):
+            y = base.copy()
+            y[k] = value
+            cases.append(y)
+    verdicts = [bool(bbr._classify(y)) for y in cases]
+    assert verdicts == [bool(_classify_reference(y)) for y in cases]
+    assert verdicts == [bool(bbr._classify(y.tolist())) for y in cases]
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert verdicts[-14:] == [False] * 4 + [True, False] + [True, False] * 4
+
+
+def test_secant_predictor_steps_no_farther_than_the_last_grid_step():
+    y_a = bbr.pure_state_moments(1.0, 0.3, 20).vector
+    y_b = bbr.pure_state_moments(1.2, 0.1, 30).vector
+    # half a grid step past b: half the last step
+    got = bbr._secant((0.1, y_a.tolist()), (0.3, y_b.tolist()), 0.4).vector
+    assert np.allclose(got, y_b + 0.5 * (y_b - y_a), rtol=1e-12, atol=0)
+    # three grid steps past b: one step, no more
+    got = bbr._secant((0.1, y_a.tolist()), (0.2, y_b.tolist()), 0.5).vector
+    assert np.array_equal(got, y_b + (y_b - y_a))
+
+
+def test_root_result_residual_is_that_of_its_state():
+    for mode_kind, g, gamma in (("fixed-U", 0.5, 0.5), ("constant-g", 0.3, 1.2),
+                                ("fixed-U", 0.1, 1.6)):
+        params, mode = bbr._params_at(gamma, g, 100, 1.0, mode_kind)
+        res = bbr.steady_root_search(params, mode, bbr.u0_steady_guess(params))
+        assert res.found
+        fresh = bbr.moment_rhs(res.state.vector, params, mode)
+        assert res.residual == bbr._max_abs(fresh)
 
 
 def test_sweep_sums_the_work_of_its_searches(monkeypatch):
@@ -157,8 +231,8 @@ def test_sweep_sums_the_work_of_its_searches(monkeypatch):
     assert sweep.work["searches"] == len(results)
     for key in ("newton_steps", "backtracks", "sentinel_hits"):
         assert sweep.work[key] == sum(getattr(r, key) for r in results)
-    assert sweep.work["hybr_fallbacks"] == sum(r.fallback == "hybr"
-                                               for r in results)
+    assert sweep.work["lstsq_fallbacks"] == sum(r.fallback == "lstsq"
+                                                for r in results)
     # the end game's evaluations count too: every kernel call and every
     # Jacobian of the sweep, its last (sigma_min) included
     assert sweep.work["kernel_calls"] == calls["moment_rhs"] > sum(
@@ -430,14 +504,30 @@ def test_root_search_interacting_vs_exact(fig3_params, fig3_steady):
     assert abs(res.state.n - m.n) / scale < 0.08
 
 
+# the unphysical constant-g root at g = 0.5, gamma = 1.75 (n = 27.05,
+# purity 2.56, a negative D_zz), to six digits
+UNPHYSICAL_ROOT = [-35.8194, 24.3021, -0.722262, 27.0516, 806.755, 1318.84,
+                   35.5587, 2887.94, 1538.48, 24.7862, 3995.09, -291.741,
+                   37.4137, 10390.5]
+
+
 def test_root_search_reports_unphysical_roots():
     # just past the constant-g boundary the remaining root is unphysical
     params = SystemParams.from_g(g=0.5, gamma=1.75, n0=100)
+    mode = bbr.ConstantG(0.5)
+    # from the last physical grid state before it, damped Newton does not
+    # reach it
     sweep = bbr.sweep_gamma(np.arange(1.5, 1.74, 0.02), 0.5, 100,
                             "constant-g")
     last = [p for p in sweep.points if p.exists][-1].state
-    res = bbr.steady_root_search(params, bbr.ConstantG(0.5), last)
+    assert not bbr.steady_root_search(params, mode, last).converged
+    # from within 10 % of it, it does, and reports the root unphysical
+    guess = fock.BlochMoments.from_vector(1.1 * np.array(UNPHYSICAL_ROOT))
+    res = bbr.steady_root_search(params, mode, guess)
     assert res.converged and not res.physical and not res.found
+    assert res.newton_steps <= 3
+    assert res.state.n == pytest.approx(27.0516, rel=1e-5)
+    assert res.state.purity == pytest.approx(2.561, rel=1e-3)
 
 
 def test_sweep_warm_start_continuity():
