@@ -68,7 +68,8 @@ _N_SINGULAR = 1.0 + 1e-6
 _EPS = float(np.finfo(float).eps)
 # Newton iterations a root search may take before it reports its best point
 MAX_ITERATIONS = 200
-# stalled Newton iterations in a row after which a root search gives up
+# Newton iterations in a row that lower the residual norm by less than a
+# tenth, after which a root search gives up
 STALL_LIMIT = 5
 
 
@@ -315,10 +316,12 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
     with LAPACK's `dgesv`; a singular Jacobian (as in the constant-g
     singular band, where it is zero) gets a least-squares step instead.
     A backtracking line search accepts the first of the step fractions
-    1, 1/2, ..., 1/32 that lowers the residual infinity norm.  After
-    STALL_LIMIT stalled iterations in a row (no fraction lowered the norm,
-    or none by a tenth) the search stops at its best point, the last
-    accepted iterate.  Convergence requires the residual infinity norm to
+    1, 1/2, ..., 1/32 that lowers the residual infinity norm.  The search
+    stops at its best point, the last accepted iterate, at the first line
+    search in which no fraction lowers the norm (the iterate has not
+    moved, so the next iteration would fail the same way) or after
+    STALL_LIMIT iterations in a row that lower it by less than a tenth.
+    Convergence requires the residual infinity norm to
     fall below residual_tol or, when the state's magnitude puts
     floating-point noise above that, below the evaluation noise floor.  A
     converged root is classified physical iff its purity is <= 1 + 1e-8
@@ -361,7 +364,7 @@ def steady_root_search(params: SystemParams, mode: BbrMode,
                 break
             backtracks += 1
         else:
-            stall += 1
+            break                # y has not moved: a repeat fails the same
         if stall == STALL_LIMIT:
             break
 

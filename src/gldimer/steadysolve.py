@@ -15,12 +15,16 @@ singular system is made square by replacing the equation for d rho_00/dt
 (implied by trace preservation of the rest) with the pin rho_00 = 1,
 which keeps that structure, and is solved by block elimination over the
 sectors (the matrix-continued-fraction method): one dense real LU
-factorization per sector, from the top sector down, then one forward pass
-from the pin.  The state is then normalized to unit trace and unpacked to
-a complex density matrix, which is exactly Hermitian by construction; its
-negligible negative eigenvalues are clipped (a larger one is an error),
-and its residual is verified by an independent application of the full
-generator in matrix form, never trusted from the solver.
+factorization per sector, from the top sector down, in float32.  Those
+factors solve the pinned system to float32 accuracy only; iterative
+refinement against the float64 generator brings the solution to float64
+rounding in a few steps, each one block solve and one product with the
+generator, and a refinement that stalls is an error.  The state is then
+normalized to unit trace and unpacked to a complex density matrix, which
+is exactly Hermitian by construction; its negligible negative
+eigenvalues are clipped (a larger one is an error), and its residual is
+verified by an independent application of the full generator in matrix
+form, never trusted from the solver.
 """
 
 from __future__ import annotations
@@ -40,6 +44,14 @@ from .ode import integrate_dp45, sample_grid
 from .system import SystemParams
 
 DIAGONAL_COLUMNS = ("n1", "n2", "p")
+
+# refinement of the float32 sector solve (`_refine`): converged at a
+# relative correction of a few float64 eps, stalled once a correction is
+# not below half the one before, and never more steps than the cap
+_REFINE_TOL = 4 * np.finfo(float).eps
+_REFINE_SHRINK = 0.5
+_REFINE_STEPS = 10
+_getrf, _getrs = sla.get_lapack_funcs(("getrf", "getrs"), dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -62,13 +74,15 @@ class SteadySolution:
     truncation_mass: float
     eigenvalue_floor: float          # smallest eigenvalue before clipping
     adjustments: dict = field(default_factory=dict)  # see _post_process
-    # seconds spent in each phase: build, eliminate, post_process, verify
+    # seconds spent in each phase: build, eliminate, refine, post_process,
+    # verify
     phase_seconds: dict = field(default_factory=dict)
     n_sectors: int = 0               # particle-number sectors N = 0 .. top
     max_block_order: int = 0         # order of the largest sector block
-    # products with the generator in the solve: none since it is direct;
-    # kept for the benchmark's per-layer counter
+    # products with the generator in the refinement, one per step after
+    # the first, and the last step's relative correction max|dx| / max|x|
     matvecs: int = 0
+    refine_correction: float = 0.0
 
     def diagnostics(self) -> dict:
         """What the solve did, for a run manifest."""
@@ -76,56 +90,141 @@ class SteadySolution:
                 "adjustments": self.adjustments,
                 "phase_seconds": self.phase_seconds,
                 "n_sectors": self.n_sectors,
-                "max_block_order": self.max_block_order}
+                "max_block_order": self.max_block_order,
+                "matvecs": self.matvecs,
+                "refine_correction": self.refine_correction}
 
 
-def _eliminate(gen: sp.csr_array, offsets: np.ndarray) -> np.ndarray:
-    """Solve the pinned system (gen with its first row replaced by the pin
-    x_0 = 1; every other equation homogeneous) by block elimination over
-    the number sectors, whose packed ranges are offsets[N]:offsets[N + 1].
-    Sector 0 holds rho_00 alone.  The arithmetic is that of gen: real for
-    the generator in Hermitian coordinates.
+def _row_gather(rows, cols, vals, size):
+    """The block of `size` rows with entries (rows, cols, vals), at most
+    one per row, as (src, w): its product with y is w * y[src], row by row
+    when y is a matrix."""
+    src = np.zeros(size, np.intp)
+    w = np.zeros(size, np.float32)
+    src[rows] = cols
+    w[rows] = vals
+    return src, w
+
+
+def _eliminate(gen: sp.csr_array, offsets: np.ndarray):
+    """Factor the pinned system (gen with its first row replaced by the
+    pin x_0 = 1) by block elimination over the number sectors, whose
+    packed ranges are offsets[N]:offsets[N + 1], and return its solver
+    b -> x, which is accurate to float32 only (see `_refine`).  Sector 0
+    holds rho_00 alone, so the pin is its only equation.
 
     With A_N, G_N and L_N the blocks of sector N's rows in the columns of
     sectors N, N - 1 and N + 1, the backward sweep forms
     M_N = A_N + L_N S_{N+1} with S_N = -M_N^{-1} G_N from M_top = A_top
-    down and keeps only the LU factors of the M_N.  The right-hand side
-    vanishes outside sector 0, so the forward pass is x_0 = 1,
-    x_N = -M_N^{-1} G_N x_{N-1}.  Raises ConvergenceError naming the
-    sector whose factor is singular or not finite, or whose solution is
-    not finite."""
+    down, in float32, and keeps only the LU factors of the M_N.  G_N and
+    L_N have at most one entry per row and are applied as row gathers (a
+    block with more would be solved wrongly, and its refinement against
+    gen would stall).
+
+    The solver takes a general right-hand side b, scaled to unit maximum,
+    through c_N = M_N^{-1} (b_N - L_N c_{N+1}) from the top down, then
+    x_0 = b_0 and x_N = c_N - M_N^{-1} G_N x_{N-1}.  Raises
+    ConvergenceError naming the sector whose factor is singular or not
+    finite, or whose solution is not finite."""
     top = len(offsets) - 2
-    rows = [gen[offsets[n]:offsets[n + 1]] for n in range(top + 1)]
+    coo = gen.tocoo()                       # entries in row order
+    bounds = np.searchsorted(coo.row, offsets)
+    col_sector = np.repeat(np.arange(top + 1), np.diff(offsets))[coo.col]
 
-    def block(n, m):
-        return rows[n][:, offsets[m]:offsets[m + 1]]
+    def entries(n, m):
+        """Local (row, column, value) entries of sector n's rows in the
+        columns of sector m."""
+        at = slice(bounds[n], bounds[n + 1])
+        keep = col_sector[at] == m
+        return (coo.row[at][keep] - offsets[n],
+                coo.col[at][keep] - offsets[m], coo.data[at][keep])
 
-    gains = [None] + [block(n, n - 1) for n in range(1, top + 1)]
+    sizes = np.diff(offsets)
+    gains = [None] + [_row_gather(*entries(n, n - 1), sizes[n])
+                      for n in range(1, top + 1)]
+    losses = [_row_gather(*entries(n, n + 1), sizes[n])
+              for n in range(top)] + [None]
     factors = [None] * (top + 1)
-    s_next = None
+    s = None                                # S_{N+1}
     for n in range(top, 0, -1):
-        m = block(n, n).toarray()
-        if s_next is not None:
-            m += block(n, n + 1) @ s_next
-        lu, piv = sla.lu_factor(m, overwrite_a=True, check_finite=False)
+        m = np.zeros((sizes[n], sizes[n]), np.float32)
+        rows, cols, vals = entries(n, n)
+        m[rows, cols] = vals
+        if s is not None:
+            src, w = losses[n]
+            m += w[:, None] * s[src]
+        lu, piv, _ = _getrf(m, overwrite_a=True)
         if not (np.all(np.isfinite(lu)) and np.all(np.diagonal(lu))):
             raise ConvergenceError(
                 f"steady-state solve: sector N = {n} block is singular "
                 "or not finite")
         factors[n] = (lu, piv)
         if n > 1:
-            s_next = -sla.lu_solve(factors[n], gains[n].toarray(),
-                                   check_finite=False)
+            src, w = gains[n]
+            g = np.zeros((sizes[n], sizes[n - 1]), np.float32, order="F")
+            g[np.arange(sizes[n]), src] = -w
+            s = np.ascontiguousarray(_getrs(lu, piv, g, overwrite_b=True)[0])
 
-    x = [np.ones(1)]
-    for n in range(1, top + 1):
-        x.append(-sla.lu_solve(factors[n], gains[n] @ x[n - 1],
-                               check_finite=False))
-        if not np.all(np.isfinite(x[n])):
-            raise ConvergenceError(
-                f"steady-state solve: sector N = {n} solution is not "
-                "finite")
-    return np.concatenate(x)
+    def solve(b: np.ndarray) -> np.ndarray:
+        scale = np.max(np.abs(b)) or 1.0
+        parts = [(b[offsets[n]:offsets[n + 1]] / scale).astype(np.float32)
+                 for n in range(top + 1)]
+        c = [None] * (top + 1)
+        for n in range(top, 0, -1):
+            if n < top:
+                src, w = losses[n]
+                parts[n] -= w * c[n + 1][src]
+            c[n] = _getrs(*factors[n], parts[n], overwrite_b=True)[0]
+        x = parts[:1]
+        for n in range(1, top + 1):
+            src, w = gains[n]
+            x.append(c[n] - _getrs(*factors[n], w * x[n - 1][src],
+                                   overwrite_b=True)[0])
+            if not np.all(np.isfinite(x[n])):
+                raise ConvergenceError(
+                    f"steady-state solve: sector N = {n} solution is not "
+                    "finite")
+        return scale * np.concatenate(x).astype(float)
+
+    return solve
+
+
+def _refine(gen: sp.csr_array, solve, space: liouville.NumberBlockSpace):
+    """The solution x of the pinned system by iterative refinement of the
+    float32 solver `solve` (Buttari et al. 2007; Carson & Higham 2018):
+    x = solve(e_0), then r = e_0 - (pinned gen) x in float64 and
+    x += solve(r).  x_0 is exactly 1 from the first step on.
+
+    Returns x, the number of steps and the last relative correction
+    max|dx| / max|x|.  Stops once that correction, or the next one as the
+    contraction of the last two corrections predicts it, is at float64
+    rounding (_REFINE_TOL).  Raises ConvergenceError, with the boundary
+    mass of the last iterate, once a correction is not below
+    _REFINE_SHRINK times the one before or after _REFINE_STEPS steps: the
+    float32 factors then carry too little of the system to refine it."""
+    r = np.zeros(gen.shape[0])
+    r[0] = 1.0
+    x = solve(r)
+    last = None                  # the correction of the step before
+    for step in range(2, _REFINE_STEPS + 1):
+        r = -(gen @ x)
+        r[0] = 1.0 - x[0]
+        dx = solve(r)
+        x += dx
+        change = float(np.max(np.abs(dx)) / np.max(np.abs(x)))
+        # the next correction, at the contraction of the last two
+        if (change if last is None else change * change / last) \
+                <= _REFINE_TOL:
+            return x, step, change
+        if last is not None and change >= _REFINE_SHRINK * last:
+            break
+        last = change
+    mass = (x[space.boundary_diag_positions].sum()
+            / x[space.diag_positions].sum())
+    raise ConvergenceError(
+        f"steady-state solve: refinement stalled after {step} steps at "
+        f"relative correction {change:.1e}; the state carries boundary "
+        f"mass {mass:.3e}")
 
 
 def solve_steady(params: SystemParams, basis: TwoModeBasis,
@@ -150,8 +249,11 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
     space = liouville.number_block_space(basis)
     gen = liouville.build_number_block_generator(params, basis)
     lap("build")
-    x = _eliminate(gen, space.offsets)
+    solve = _eliminate(gen, space.offsets)
     lap("eliminate")
+    x, steps, correction = _refine(gen, solve, space)
+    del solve                    # frees the factors before post-processing
+    lap("refine")
     rho, adjustments, floor = _post_process(
         liouville.unpack_block(x / x[space.diag_positions].sum(), space),
         config, space.sectors)
@@ -176,6 +278,7 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
         adjustments=adjustments,
         phase_seconds=seconds, n_sectors=len(space.sectors),
         max_block_order=int(np.max(np.diff(space.offsets))),
+        matvecs=steps - 1, refine_correction=correction,
     )
 
 

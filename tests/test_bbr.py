@@ -112,6 +112,27 @@ def test_singular_band_has_a_zero_jacobian_and_no_error_escapes():
     assert res.fallback == "lstsq"
 
 
+def test_search_stops_at_its_first_failed_line_search(monkeypatch):
+    # past the fold of the g = 0.5 fixed-U branch (gamma = 0.99903) no
+    # step fraction lowers the norm at the last iterate; the search stops
+    # there instead of rebuilding the same Jacobian at the same point
+    points = []
+    rows = bbr._Residual.jacobian_rows
+
+    def recording(self, y):
+        points.append(list(y))
+        return rows(self, y)
+
+    anchor = bbr.sweep_gamma([0.5, 0.9, 0.99], 0.5, 100,
+                             "fixed-U").points[-1].state
+    monkeypatch.setattr(bbr._Residual, "jacobian_rows", recording)
+    params, mode = bbr._params_at(1.0, 0.5, 100, 1.0, "fixed-U")
+    res = bbr.steady_root_search(params, mode, anchor)
+    assert not res.found
+    assert res.jacobian_evals == len(points) == res.newton_steps
+    assert all(a != b for a, b in zip(points, points[1:]))
+
+
 def test_stalled_search_gives_up_after_five_stalls(monkeypatch):
     # from a pure state along x the damped Newton steps stall five times in
     # a row, and the search stops there without a root

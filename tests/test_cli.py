@@ -148,9 +148,10 @@ def test_custom_steady_manifest_reports_the_solve(tmp_path):
     out = tmp_path / "steady"
     assert run_cli(["custom-steady", "--config", cfgf, "--out", out]) == 0
     diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
-    assert set(diag["phase_seconds"]) == {"build", "eliminate",
+    assert set(diag["phase_seconds"]) == {"build", "eliminate", "refine",
                                           "post_process", "verify"}
     assert diag["n_sectors"] == 13 and diag["max_block_order"] == 49
+    assert diag["matvecs"] >= 1 and diag["refine_correction"] < 1e-10
     assert diag["residual"] < 1e-10
     assert set(diag["adjustments"]) == {"clipped_negative_mass",
                                         "trace_renormalization"}

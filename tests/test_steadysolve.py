@@ -81,9 +81,10 @@ def test_matches_dense_null_vector(g, gamma):
 
 
 def test_sector_eliminator_solves_pinned_system():
-    # the elimination against the assembled pinned system (first row
-    # replaced by x_0 = 1, right-hand side e_0), in the real Hermitian
-    # coordinates the solve runs in
+    # the float32 elimination refined in float64 against the assembled
+    # pinned system (first row replaced by x_0 = 1, right-hand side e_0),
+    # in the real Hermitian coordinates the solve runs in: a residual at
+    # double-precision rounding and the pin kept exactly
     basis = fock.build_basis(5)
     params = SystemParams.from_g(g=0.7, gamma=0.8, n0=3)
     space = liouville.number_block_space(basis)
@@ -92,11 +93,39 @@ def test_sector_eliminator_solves_pinned_system():
     a[0, :] = 0.0
     a[0, 0] = 1.0
     a = sp.csr_array(a)
-    x = steadysolve._eliminate(gen, space.offsets)
+    x, steps, correction = steadysolve._refine(
+        gen, steadysolve._eliminate(gen, space.offsets), space)
     b = np.zeros(space.size)
     b[0] = 1.0
     assert x[0] == 1.0
-    assert np.max(np.abs(a @ x - b)) < 1e-10
+    assert np.max(np.abs(a @ x - b)) <= 1e-13 * np.max(np.abs(x))
+    assert 2 <= steps <= 4 and correction < 1e-10
+
+
+def test_refinement_converges_in_few_steps(fig3_steady):
+    # the float32 factors contract the error by about 1e-6 per step, so a
+    # solve at the reference point takes at most 4 refinement steps (one
+    # generator product per step after the first); a loss of accuracy in
+    # the factors shows here first
+    assert 1 <= fig3_steady.matvecs <= 3
+    assert fig3_steady.refine_correction < 1e-10
+
+
+@pytest.mark.parametrize("ceiling", [1e-6, 1.0])
+def test_pinned_vacuum_stalls_the_refinement(ceiling):
+    # the state sits on the basis boundary (mass 0.994) and its vacuum
+    # population is at rounding level, so pinning rho_00 = 1 leaves a
+    # system the float32 factors cannot refine: a named error at any
+    # ceiling, before the ceiling is checked
+    basis = fock.build_basis(12)
+    params = SystemParams(J=1.0, U=0.0, gamma=10.0, n0=5)
+    with pytest.raises(ConvergenceError,
+                       match=r"refinement stalled after \d+ steps at "
+                             r"relative correction \S+; the state carries "
+                             r"boundary mass 9\.9\d+e-01"):
+        steadysolve.solve_steady(
+            params, basis,
+            steadysolve.SteadySolveConfig(truncation_ceiling=ceiling))
 
 
 def _generator_with_block(basis, params, rows_sector, cols_sector, value):
@@ -223,8 +252,8 @@ def test_attractor_zero_perturbation(u0_steady_n5, basis24):
 
 def test_solution_reports_its_work(fig3_steady, basis24):
     sol = fig3_steady
-    assert set(sol.phase_seconds) == {"build", "eliminate", "post_process",
-                                      "verify"}
+    assert set(sol.phase_seconds) == {"build", "eliminate", "refine",
+                                      "post_process", "verify"}
     assert all(t >= 0.0 for t in sol.phase_seconds.values())
     assert sol.n_sectors == 2 * basis24.cutoff + 1
     assert sol.max_block_order == (basis24.cutoff + 1) ** 2
