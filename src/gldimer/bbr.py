@@ -23,12 +23,15 @@ The right-hand side is the generated pure-Python kernel
 writes into any mutable 14-slot `out`; its generated twin
 `_moment_rhs_py.moment_jacobian` gives the analytic Jacobian at fixed U
 and the derivative in U, from which the constant-g Jacobian follows by
-the chain rule through U = g/(n-1).  The steady-state root search holds
-its iterate, residuals and Newton steps as lists of Python floats and
-calls the kernel with them: the same IEEE operations in the same order as
-on numpy scalars, so the results are bit for bit those of the array form,
-at about a third of the cost per evaluation.  LAPACK's `dgesv` solves the
-Newton system directly on the Jacobian's row lists.
+the chain rule through U = g/(n-1).  Every steady state is solved by one
+Newton corrector (`_newton`): plain Newton steps, at most NEWTON_STEPS of
+them, at fixed gamma in a root search and with gamma as a further unknown
+in the end game below.  It holds its iterate, residuals and Newton steps
+as lists of Python floats and calls the kernel with them: the same IEEE
+operations in the same order as on numpy scalars, so the results are bit
+for bit those of the array form, at about a third of the cost per
+evaluation.  LAPACK's `dgesv` solves each Newton system directly on the
+Jacobian's row lists.
 
 `sweep_gamma` follows a branch over a gamma grid by natural continuation,
 each grid step predicted by the secant through the two grid states before.
@@ -66,11 +69,8 @@ SWEEP_COLUMNS = ("gamma", "g", "exists", "s_x", "s_y", "s_z", "n", "P",
 
 _N_SINGULAR = 1.0 + 1e-6
 _EPS = float(np.finfo(float).eps)
-# Newton iterations a root search may take before it reports its best point
-MAX_ITERATIONS = 200
-# Newton iterations in a row that lower the residual norm by less than a
-# tenth, after which a root search gives up
-STALL_LIMIT = 5
+# Newton steps a root search or an arclength corrector may take
+NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,10 @@ def integrate(initial: BlochMoments, t_final: float, params: SystemParams,
 class RootResult:
     """Outcome of one root search and the work it took.
 
-    kernel_calls counts residual evaluations that ran the kernel,
+    iterations counts the Newton steps (each solves one Newton system),
+    kernel_calls the residual evaluations that ran the kernel,
     sentinel_hits those inside the constant-g singular band (residual
-    sentinel or zero Jacobian), jacobian_evals the analytic Jacobians,
-    newton_steps the Newton systems solved and backtracks the rejected
-    line-search trials.  fallback is "lstsq" when the search took a
-    least-squares Newton step on a singular Jacobian, else None."""
+    sentinel or zero Jacobian) and jacobian_evals the analytic Jacobians."""
 
     state: BlochMoments | None
     converged: bool
@@ -171,9 +169,6 @@ class RootResult:
     iterations: int
     kernel_calls: int = 0
     jacobian_evals: int = 0
-    newton_steps: int = 0
-    backtracks: int = 0
-    fallback: str | None = None
     sentinel_hits: int = 0
 
     @property
@@ -185,7 +180,6 @@ class RootResult:
 # searches, the arc steps and corrector Newton steps of its end games, and
 # the kernel calls, Jacobians and sentinel hits of both
 WORK_KEYS = ("searches", "kernel_calls", "jacobian_evals", "newton_steps",
-             "backtracks", "lstsq_fallbacks",
              "sentinel_hits", "arc_steps", "corrector_steps")
 
 
@@ -197,11 +191,8 @@ def _count_evaluations(work: dict, source) -> None:
 def _tally(work: dict, res: RootResult) -> RootResult:
     """Add the work of one search to the sums in work; returns res."""
     work["searches"] += 1
-    work["newton_steps"] += res.newton_steps
-    work["backtracks"] += res.backtracks
+    work["newton_steps"] += res.iterations
     _count_evaluations(work, res)
-    if res.fallback is not None:
-        work[f"{res.fallback}_fallbacks"] += 1
     return res
 
 
@@ -294,6 +285,16 @@ class _Residual:
         ratio = self.params.n0 / (self.params.n0 + 2)
         return [ratio * a + b for a, b in zip(d_gain, d_loss)]
 
+    def bordered_rows(self, y, border: list) -> list:
+        """d (residual, border . (y, gamma)) / d (y, gamma) as 15 row lists:
+        the Jacobian rows, each with its df/dgamma entry appended, and the
+        border row."""
+        rows = self.jacobian_rows(y)
+        for row, d_gamma in zip(rows, self.gamma_column(y)):
+            row.append(d_gamma)
+        rows.append(border)
+        return rows
+
 
 def _residual_floor(y, params: SystemParams) -> float:
     """Rounding floor of a single right-hand-side evaluation.
@@ -307,76 +308,69 @@ def _residual_floor(y, params: SystemParams) -> float:
     return 50 * _EPS * scale
 
 
-def steady_root_search(params: SystemParams, mode: BbrMode,
-                       initial_guess: BlochMoments, *,
-                       residual_tol: float = 1e-10) -> RootResult:
-    """Damped Newton iteration on the moment equations.
+def _newton(fun: _Residual, z: list, residual_tol: float, border=None):
+    """Plain Newton iteration from z on the residual of fun: the one
+    corrector of every bbr solve.
 
-    Each Newton step solves the system of the generated analytic Jacobian
-    with LAPACK's `dgesv`; a singular Jacobian (as in the constant-g
-    singular band, where it is zero) gets a least-squares step instead.
-    A backtracking line search accepts the first of the step fractions
-    1, 1/2, ..., 1/32 that lowers the residual infinity norm.  The search
-    stops at its best point, the last accepted iterate, at the first line
-    search in which no fraction lowers the norm (the iterate has not
-    moved, so the next iteration would fail the same way) or after
-    STALL_LIMIT iterations in a row that lower it by less than a tenth.
-    Convergence requires the residual infinity norm to
-    fall below residual_tol or, when the state's magnitude puts
-    floating-point noise above that, below the evaluation noise floor.  A
-    converged root is classified physical iff its purity is <= 1 + 1e-8
+    Without border, z is the moment vector y at fun's gamma and each step
+    solves the 14-row system J dy = -f.  With border = (row, z0), z is
+    y + [gamma]: each step's system gains the column df/dgamma and the row
+    of the constraint row . (z - z0) = 0, which holds the iterate on the
+    hyperplane through the predictor z0 (pseudo-arclength), and fun is
+    re-pointed at the iterate's gamma.  Each system is solved by LAPACK's
+    `dgesv` on row lists.  The iteration stops at convergence (the
+    infinity norm of f below residual_tol or, when the state's magnitude
+    puts rounding noise above that, below the noise floor of one
+    evaluation), at a singular system (`dgesv` info > 0, as on the zero
+    Jacobian of the constant-g singular band), at gamma <= 0, or after
+    NEWTON_STEPS steps.  z, the residuals and the steps are lists of
+    floats.  Returns (z, residual norm, converged, steps)."""
+    steps = 0
+    while True:
+        if border is not None:
+            if not z[14] > 0.0:
+                return z, math.nan, False, steps
+            fun.at_gamma(z[14])
+        y = z[:14]
+        f = fun(y)
+        norm = _max_abs(f)
+        if norm < max(residual_tol, _residual_floor(y, fun.params)):
+            return z, norm, True, steps
+        if steps == NEWTON_STEPS:
+            return z, norm, False, steps
+        steps += 1
+        neg_f = [-v for v in f]
+        if border is None:
+            rows = fun.jacobian_rows(y)
+        else:
+            row, z0 = border
+            rows = fun.bordered_rows(y, row)
+            neg_f.append(-sum(a * (b - c) for a, b, c in zip(row, z, z0)))
+        step, info = _dgesv(rows, neg_f)[2:]
+        if info > 0:
+            return z, norm, False, steps
+        z = [a + b for a, b in zip(z, step.tolist())]
+
+
+def steady_root_search(params: SystemParams, mode: BbrMode, initial_guess,
+                       *, residual_tol: float = 1e-10) -> RootResult:
+    """Newton iteration (`_newton`) on the moment equations at fixed gamma
+    from initial_guess, any sequence of 14 floats.
+
+    A converged root is classified physical iff its purity is <= 1 + 1e-8
     and all covariance diagonals are >= -1e-8; unphysical roots are
     reported distinctly (converged=True, physical=False).  The result
     carries the search's work counts (see RootResult).
-
-    The iterate, residuals and steps are lists of floats (never modified
-    in place, so they are shared rather than copied), and each residual
-    keeps its norm.
     """
     fun = _Residual(params, mode)
-
-    def tol_at(y):
-        return max(residual_tol, _residual_floor(y, params))
-
-    y = initial_guess.vector.tolist()
-    f = fun(y)
-    norm = _max_abs(f)
-    iterations = newton_steps = backtracks = stall = 0
-    fallback = None
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        if norm < tol_at(y):
-            break
-        rows = fun.jacobian_rows(y)
-        neg_f = [-v for v in f]
-        newton_steps += 1
-        step, info = _dgesv(rows, neg_f)[2:]
-        if info > 0:
-            step = np.linalg.lstsq(np.array(rows), neg_f, rcond=None)[0]
-            fallback = "lstsq"
-        step = step.tolist()
-        for lam in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-            y_new = [a + lam * b for a, b in zip(y, step)]
-            f_new = fun(y_new)
-            norm_new = _max_abs(f_new)
-            if norm_new < norm:
-                stall = stall + 1 if norm_new > 0.9 * norm else 0
-                y, f, norm = y_new, f_new, norm_new
-                break
-            backtracks += 1
-        else:
-            break                # y has not moved: a repeat fails the same
-        if stall == STALL_LIMIT:
-            break
-
-    converged = norm < tol_at(y)
+    y, norm, converged, steps = _newton(
+        fun, [float(v) for v in initial_guess], residual_tol)
     physical = converged and _classify(y)
     return RootResult(
         state=BlochMoments.from_vector(y) if converged else None,
         converged=converged, physical=physical, residual=norm,
-        iterations=iterations, kernel_calls=fun.kernel_calls,
-        jacobian_evals=fun.jacobian_evals, newton_steps=newton_steps,
-        backtracks=backtracks, fallback=fallback,
-        sentinel_hits=fun.sentinel_hits)
+        iterations=steps, kernel_calls=fun.kernel_calls,
+        jacobian_evals=fun.jacobian_evals, sentinel_hits=fun.sentinel_hits)
 
 
 def u0_steady_guess(params: SystemParams) -> BlochMoments:
@@ -451,7 +445,6 @@ class GammaSweep:
 # (Keller 1977; Allgower & Georg, Introduction to Numerical Continuation
 # Methods, 2003)
 
-ARC_NEWTON_STEPS = 8      # Newton steps a corrector may take
 ARC_STEP_MAX = 4.0        # largest arclength step in the scaled metric
 ARC_MAX_STEPS = 200       # corrector attempts before the end game gives up
 FOLD_SECANT_STEPS = 20    # secant steps that locate a fold
@@ -465,6 +458,12 @@ def _arc_scale(y) -> np.ndarray:
     return np.array([n] * 4 + [n * n] * 10)
 
 
+def _border_row(t, w) -> list:
+    """The row of the product t . z with z = (y / w, gamma), in the
+    unscaled coordinates (y, gamma): (t[:14] / w, t[14])."""
+    return (t[:14] / w).tolist() + [float(t[14])]
+
+
 class _Arc:
     """The branch f(y, gamma) = 0 in the scaled coordinates
     z = (y / w, gamma) of the end game.  One `_Residual`, re-pointed at each
@@ -476,49 +475,28 @@ class _Arc:
         self.residual_tol = residual_tol
         self.corrector_steps = 0
 
-    def _bordered(self, y, w, border) -> np.ndarray:
-        """[[W^-1 J W, W^-1 df/dgamma], [border]] with W = diag(w)."""
-        a = np.empty((15, 15))
-        a[:14, :14] = self.fun.jacobian(y) * w / w[:, None]
-        a[:14, 14] = np.array(self.fun.gamma_column(y)) / w
-        a[14] = border
-        return a
-
     def tangent(self, y, gamma: float, w, border) -> np.ndarray:
         """Unit tangent of the branch at (y, gamma), scaled by w, with
         positive projection on border."""
         self.fun.at_gamma(gamma)
-        e = np.zeros(15)
-        e[14] = 1.0
-        t = np.linalg.solve(self._bordered(y, w, border), e)
+        rows = self.fun.bordered_rows(y, _border_row(border, w))
+        v, info = _dgesv(rows, [0.0] * 14 + [1.0])[2:]
+        if info > 0:
+            raise ConvergenceError(
+                f"bbr end game: singular bordered Jacobian at gamma = "
+                f"{gamma:.10g}")
+        t = np.append(v[:14] / w, v[14])
         return t / np.linalg.norm(t)
 
     def correct(self, u0, gamma0: float, t, w):
-        """Newton on f(w u, gamma) = 0 and t . (z - z0) = 0 from the
+        """`_newton` on f(w u, gamma) = 0 and t . (z - z0) = 0 from the
         predictor z0 = (u0, gamma0).  Returns (y, gamma, Newton steps) at a
         converged state, else None."""
-        u, gamma = u0, gamma0
-        for steps in range(ARC_NEWTON_STEPS + 1):
-            if not gamma > 0.0:
-                return None
-            self.fun.at_gamma(gamma)
-            y = (u * w).tolist()
-            f = self.fun(y)
-            if _max_abs(f) < max(self.residual_tol,
-                                 _residual_floor(y, self.fun.params)):
-                return y, float(gamma), steps
-            if steps == ARC_NEWTON_STEPS:
-                return None
-            rhs = np.empty(15)
-            rhs[:14] = np.array(f) / w
-            rhs[14] = t[:14] @ (u - u0) + t[14] * (gamma - gamma0)
-            self.corrector_steps += 1
-            try:
-                d = np.linalg.solve(self._bordered(y, w, t), -rhs)
-            except np.linalg.LinAlgError:
-                return None
-            u, gamma = u + d[:14], gamma + float(d[14])
-        return None
+        z0 = (u0 * w).tolist() + [float(gamma0)]
+        z, _, converged, steps = _newton(self.fun, z0, self.residual_tol,
+                                         border=(_border_row(t, w), z0))
+        self.corrector_steps += steps
+        return (z[:14], z[14], steps) if converged else None
 
 
 def _locate_fold(arc: _Arc, y_a, gamma_a: float, t_a, w, phi_b: float,
@@ -594,8 +572,7 @@ def _end_game(params: SystemParams, mode: BbrMode, y, target: float,
         if gamma_new >= target:
             # the arc passed the grid point: solve there, from the arc
             lam = (target - gamma) / (gamma_new - gamma)
-            guess = BlochMoments.from_vector(
-                [a + lam * (b - a) for a, b in zip(y, y_new)])
+            guess = [a + lam * (b - a) for a, b in zip(y, y_new)]
             res = _tally(work, steady_root_search(
                 replace(params, gamma=target), mode, guess,
                 residual_tol=residual_tol))
@@ -636,14 +613,13 @@ def _end_game(params: SystemParams, mode: BbrMode, y, target: float,
     return end, gamma, y, tail
 
 
-def _secant(a, b, target: float) -> BlochMoments:
+def _secant(a, b, target: float) -> list:
     """The secant predictor at gamma = target from the grid states
     a = (gamma_a, y_a) and b = (gamma_b, y_b), gamma_a < gamma_b < target,
     its step from y_b no longer than y_b - y_a (Allgower & Georg 2003)."""
     (gamma_a, y_a), (gamma_b, y_b) = a, b
     lam = min(1.0, (target - gamma_b) / (gamma_b - gamma_a))
-    return BlochMoments.from_vector(
-        [q + lam * (q - p) for p, q in zip(y_a, y_b)])
+    return [q + lam * (q - p) for p, q in zip(y_a, y_b)]
 
 
 def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
@@ -673,7 +649,8 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
 
     params, mode = _params_at(grid[0], g, n0, J, mode_kind)
     res = _tally(work, steady_root_search(
-        params, mode, u0_steady_guess(params), residual_tol=residual_tol))
+        params, mode, u0_steady_guess(params).vector,
+        residual_tol=residual_tol))
     if not res.found:
         return GammaSweep(
             g=g, mode_kind=mode_kind,
@@ -693,14 +670,15 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
         target = float(grid[next_idx])
         params_t, mode = _params_at(target, g, n0, J, mode_kind)
         current = (params.gamma, state.vector.tolist())
-        guess = state if before is None else _secant(before, current, target)
+        guess = (current[1] if before is None
+                 else _secant(before, current, target))
         res = _tally(work, steady_root_search(params_t, mode, guess,
                                               residual_tol=residual_tol))
         if res.found:
             before, state = current, res.state
         else:
             kind, gamma, y, arc_tail = _end_game(
-                params, mode, state.vector.tolist(), target, residual_tol,
+                params, mode, current[1], target, residual_tol,
                 boundary_resolution, work)
             tail += [SweepPoint(gamma=gm, g=g, exists=True,
                                 state=BlochMoments.from_vector(ym))

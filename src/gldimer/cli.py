@@ -208,6 +208,17 @@ def _validate(scenario: str, v: dict) -> None:
                               "(gamma_max must exceed gamma_min)")
         if v["gamma_step"] <= 0:
             raise ConfigError("gamma_step: must be > 0")
+        if "g_list" in v and v["gamma_min"] <= 0:
+            raise ConfigError("gamma_min: must be > 0 (a steady branch is "
+                              "anchored at gamma_min)")
+        if v["gamma_min"] < 0:
+            raise ConfigError("gamma_min: must be >= 0")
+    # every scenario but fig2, whose g reaches only the mean-field
+    # equations, sets U = g/(n0 - 1) (`SystemParams.from_g`)
+    if scenario != "fig2-bloch-trajectories" and v.get("n0", 2) < 2 and any(
+            (v.get("g", 0.0), *v.get("g_list", ()), v.get("g_grid_max", 0.0))):
+        raise ConfigError("n0: must be >= 2 where g is nonzero "
+                          "(U = g/(n0 - 1))")
     if "gamma" in v and v["gamma"] < 0:
         raise ConfigError("gamma: must be >= 0")
     if "mode" in v and v["mode"] not in ("fixed-U", "constant-g"):

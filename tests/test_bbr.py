@@ -105,65 +105,47 @@ def test_singular_band_has_a_zero_jacobian_and_no_error_escapes():
     assert not np.any(fun.jacobian(y.tolist()))
     assert not np.any(fun.jacobian(y))
     assert fun.kernel_calls == 0 and fun.sentinel_hits == 4
-    res = bbr.steady_root_search(params, mode, guess)
+    res = bbr.steady_root_search(params, mode, y)
+    # the zero Jacobian is singular: the search stops without a root, and
+    # no singularity error escapes it
     assert isinstance(res, bbr.RootResult)
-    assert res.sentinel_hits > 0
-    # the zero Jacobian is singular, so the Newton step is a least-squares one
-    assert res.fallback == "lstsq"
+    assert not res.found and res.sentinel_hits > 0
 
 
-def test_search_stops_at_its_first_failed_line_search(monkeypatch):
-    # past the fold of the g = 0.5 fixed-U branch (gamma = 0.99903) no
-    # step fraction lowers the norm at the last iterate; the search stops
-    # there instead of rebuilding the same Jacobian at the same point
-    points = []
-    rows = bbr._Residual.jacobian_rows
-
-    def recording(self, y):
-        points.append(list(y))
-        return rows(self, y)
-
-    anchor = bbr.sweep_gamma([0.5, 0.9, 0.99], 0.5, 100,
-                             "fixed-U").points[-1].state
-    monkeypatch.setattr(bbr._Residual, "jacobian_rows", recording)
-    params, mode = bbr._params_at(1.0, 0.5, 100, 1.0, "fixed-U")
-    res = bbr.steady_root_search(params, mode, anchor)
-    assert not res.found
-    assert res.jacobian_evals == len(points) == res.newton_steps
-    assert all(a != b for a, b in zip(points, points[1:]))
+def _last_state_before_the_fold():
+    # the g = 0.5 fixed-U branch folds at gamma = 0.99903
+    return bbr.sweep_gamma([0.5, 0.9, 0.99], 0.5, 100,
+                           "fixed-U").points[-1].state.vector
 
 
-def test_stalled_search_gives_up_after_five_stalls(monkeypatch):
-    # from a pure state along x the damped Newton steps stall five times in
-    # a row, and the search stops there without a root
-    calls = []
-    rhs = bbr.moment_rhs
+def _pure_state_along_x():
+    return bbr.pure_state_moments(np.pi / 2, 0.0, 20).vector
 
-    def counting(y, params, mode, out=None):
-        calls.append(y)
-        return rhs(y, params, mode, out)
 
-    monkeypatch.setattr(bbr, "moment_rhs", counting)
-    params, mode = bbr._params_at(0.5, 0.5, 100, 1.0, "fixed-U")
-    res = bbr.steady_root_search(params, mode,
-                                 bbr.pure_state_moments(np.pi / 2, 0.0, 20))
-    assert not res.found and res.fallback is None
-    assert res.newton_steps >= 5
-    assert res.backtracks > 0
-    assert res.kernel_calls == len(calls) and res.sentinel_hits == 0
-    # the sweep reaches the same point from its warm start
-    searched = []
-    search = bbr.steady_root_search
-
-    def recording(params, *args, **kwargs):
-        res = search(params, *args, **kwargs)
-        searched.append((params.gamma, res.found))
-        return res
-
-    monkeypatch.setattr(bbr, "steady_root_search", recording)
-    sweep = bbr.sweep_gamma([0.3, 0.4, 0.5], 0.5, 100, "fixed-U")
-    assert searched[-1] == (0.5, True)
-    assert sweep.points[-1].exists and sweep.tail == []
+@pytest.mark.parametrize("gamma, start, continued_over", [
+    (1.0, _last_state_before_the_fold, None),
+    (0.5, _pure_state_along_x, [0.3, 0.4, 0.5]),
+], ids=["past-the-fold", "pure-state-start"])
+def test_plain_newton_search(gamma, start, continued_over):
+    params, mode = bbr._params_at(gamma, 0.5, 100, 1.0, "fixed-U")
+    res = bbr.steady_root_search(params, mode, start())
+    # one Jacobian per Newton step and one residual per iterate
+    assert res.jacobian_evals == res.iterations
+    assert res.kernel_calls == res.iterations + 1
+    assert res.sentinel_hits == 0
+    if continued_over is None:
+        # past the fold there is no root: the search gives up after
+        # NEWTON_STEPS plain Newton steps
+        assert not res.converged
+        assert res.iterations == bbr.NEWTON_STEPS
+        return
+    # a start far from the branch converges, to the state that the sweep
+    # reaches by continuation
+    assert res.found and res.iterations < bbr.NEWTON_STEPS
+    ref = bbr.sweep_gamma(continued_over, 0.5, 100,
+                          "fixed-U").points[-1].state.vector
+    assert np.max(np.abs(res.state.vector - ref)) <= 1e-12 * np.max(
+        np.abs(ref))
 
 
 def _classify_reference(y) -> bool:
@@ -210,10 +192,10 @@ def test_secant_predictor_steps_no_farther_than_the_last_grid_step():
     y_a = bbr.pure_state_moments(1.0, 0.3, 20).vector
     y_b = bbr.pure_state_moments(1.2, 0.1, 30).vector
     # half a grid step past b: half the last step
-    got = bbr._secant((0.1, y_a.tolist()), (0.3, y_b.tolist()), 0.4).vector
+    got = bbr._secant((0.1, y_a.tolist()), (0.3, y_b.tolist()), 0.4)
     assert np.allclose(got, y_b + 0.5 * (y_b - y_a), rtol=1e-12, atol=0)
     # three grid steps past b: one step, no more
-    got = bbr._secant((0.1, y_a.tolist()), (0.2, y_b.tolist()), 0.5).vector
+    got = bbr._secant((0.1, y_a.tolist()), (0.2, y_b.tolist()), 0.5)
     assert np.array_equal(got, y_b + (y_b - y_a))
 
 
@@ -221,7 +203,8 @@ def test_root_result_residual_is_that_of_its_state():
     for mode_kind, g, gamma in (("fixed-U", 0.5, 0.5), ("constant-g", 0.3, 1.2),
                                 ("fixed-U", 0.1, 1.6)):
         params, mode = bbr._params_at(gamma, g, 100, 1.0, mode_kind)
-        res = bbr.steady_root_search(params, mode, bbr.u0_steady_guess(params))
+        res = bbr.steady_root_search(params, mode,
+                                     bbr.u0_steady_guess(params).vector)
         assert res.found
         fresh = bbr.moment_rhs(res.state.vector, params, mode)
         assert res.residual == bbr._max_abs(fresh)
@@ -250,10 +233,9 @@ def test_sweep_sums_the_work_of_its_searches(monkeypatch):
     sweep = bbr.sweep_gamma(np.arange(0.2, 1.3, 0.1), 0.5, 100, "fixed-U")
     assert set(sweep.work) == set(bbr.WORK_KEYS)
     assert sweep.work["searches"] == len(results)
-    for key in ("newton_steps", "backtracks", "sentinel_hits"):
-        assert sweep.work[key] == sum(getattr(r, key) for r in results)
-    assert sweep.work["lstsq_fallbacks"] == sum(r.fallback == "lstsq"
-                                                for r in results)
+    assert sweep.work["newton_steps"] == sum(r.iterations for r in results)
+    assert sweep.work["sentinel_hits"] == sum(r.sentinel_hits
+                                              for r in results)
     # the end game's evaluations count too: every kernel call and every
     # Jacobian of the sweep, its last (sigma_min) included
     assert sweep.work["kernel_calls"] == calls["moment_rhs"] > sum(
@@ -277,6 +259,60 @@ def test_gamma_column_matches_central_difference():
         assert np.max(np.abs(np.array(col) - ref)) < 1e-9 * max(
             1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(ref)) > 0.1
+
+
+@pytest.mark.parametrize("mode_kind, gammas", [
+    ("fixed-U", [0.5, 0.9, 0.99]), ("constant-g", [1.5, 1.6, 1.7])])
+def test_arc_tangent_is_the_unit_null_vector_of_the_branch(mode_kind,
+                                                           gammas):
+    # near the end of each branch (a fold at gamma = 0.99903 in fixed-U, a
+    # divergence near 1.75 in constant-g)
+    y = bbr.sweep_gamma(gammas, 0.5, 100,
+                        mode_kind).points[-1].state.vector.tolist()
+    params, mode = bbr._params_at(gammas[-1], 0.5, 100, 1.0, mode_kind)
+    arc = bbr._Arc(params, mode, 1e-9)
+    w = bbr._arc_scale(y)
+    e_gamma = np.zeros(15)
+    e_gamma[14] = 1.0
+    t = arc.tangent(y, gammas[-1], w, e_gamma)
+    assert abs(np.linalg.norm(t) - 1.0) < 1e-15
+    assert t[14] > 0
+    # J (w t[:14]) + t[14] df/dgamma = 0, to rounding: its largest entry
+    # is below a few eps times the largest row sum of its terms' magnitudes
+    fun = bbr._Residual(params, mode)
+    terms = np.column_stack((fun.jacobian(y) * (w * t[:14]),
+                             t[14] * np.array(fun.gamma_column(y))))
+    assert np.max(np.abs(terms.sum(axis=1))) <= 10 * np.finfo(float).eps \
+        * np.max(np.abs(terms).sum(axis=1))
+    # in the constant-g singular band the bordered system is singular
+    if mode_kind == "constant-g":
+        y[3] = 1.0 + 0.5e-6
+        with pytest.raises(ConvergenceError, match="singular bordered"):
+            arc.tangent(y, gammas[-1], w, e_gamma)
+
+
+@pytest.mark.parametrize("mode_kind, gammas", [
+    ("fixed-U", [0.5, 0.9, 0.99]), ("constant-g", [1.5, 1.6, 1.7])])
+def test_arc_corrector_lands_on_the_branch_in_the_predictor_hyperplane(
+        mode_kind, gammas):
+    y = bbr.sweep_gamma(gammas, 0.5, 100,
+                        mode_kind).points[-1].state.vector.tolist()
+    params, mode = bbr._params_at(gammas[-1], 0.5, 100, 1.0, mode_kind)
+    arc = bbr._Arc(params, mode, 1e-9)
+    w = bbr._arc_scale(y)
+    e_gamma = np.zeros(15)
+    e_gamma[14] = 1.0
+    t = arc.tangent(y, gammas[-1], w, e_gamma)
+    u0 = np.array(y) / w + 0.2 * t[:14]
+    gamma0 = gammas[-1] + 0.2 * t[14]
+    y1, gamma1, steps = arc.correct(u0, gamma0, t, w)
+    assert steps >= 2 and arc.corrector_steps == steps
+    # t . (z - z0) = 0 in the scaled coordinates z = (y / w, gamma)
+    assert abs(t[:14] @ (np.array(y1) / w - u0)
+               + t[14] * (gamma1 - gamma0)) < 1e-12
+    params1 = SystemParams.from_g(g=0.5, gamma=gamma1, n0=100)
+    resid = np.max(np.abs(bbr.moment_rhs(y1, params1, mode)))
+    assert resid < max(1e-9, bbr._residual_floor(y1, params1))
 
 
 def test_fixed_u_branch_ends_in_a_located_fold(monkeypatch):
@@ -420,7 +456,7 @@ def test_rhs_u0_first_moments_linear():
 
 def test_rhs_vanishes_at_u0_steady_state():
     res = bbr.steady_root_search(P100, bbr.FixedU(0.0),
-                                 bbr.u0_steady_guess(P100))
+                                 bbr.u0_steady_guess(P100).vector)
     assert res.found
     d = bbr.moment_rhs(res.state.vector, P100, bbr.FixedU(0.0))
     assert np.max(np.abs(d)) < 1e-9
@@ -505,7 +541,7 @@ def test_root_residual_contract_small_scale():
     for n0, gamma in ((5, 0.5), (10, 0.8)):
         params = SystemParams(J=1.0, U=0.0, gamma=gamma, n0=n0)
         res = bbr.steady_root_search(params, bbr.FixedU(0.0),
-                                     bbr.u0_steady_guess(params),
+                                     bbr.u0_steady_guess(params).vector,
                                      residual_tol=1e-10)
         assert res.found
         assert res.residual < 1e-10
@@ -513,7 +549,7 @@ def test_root_residual_contract_small_scale():
 
 def test_root_search_interacting_vs_exact(fig3_params, fig3_steady):
     res = bbr.steady_root_search(fig3_params, bbr.FixedU(fig3_params.U),
-                                 bbr.u0_steady_guess(fig3_params))
+                                 bbr.u0_steady_guess(fig3_params).vector)
     assert res.found
     m = fig3_steady.moments
     scale = max(1.0, m.n)
@@ -536,17 +572,16 @@ def test_root_search_reports_unphysical_roots():
     # just past the constant-g boundary the remaining root is unphysical
     params = SystemParams.from_g(g=0.5, gamma=1.75, n0=100)
     mode = bbr.ConstantG(0.5)
-    # from the last physical grid state before it, damped Newton does not
-    # reach it
+    # from the last physical grid state before it, Newton does not reach
+    # it
     sweep = bbr.sweep_gamma(np.arange(1.5, 1.74, 0.02), 0.5, 100,
                             "constant-g")
     last = [p for p in sweep.points if p.exists][-1].state
-    assert not bbr.steady_root_search(params, mode, last).converged
+    assert not bbr.steady_root_search(params, mode, last.vector).converged
     # from within 10 % of it, it does, and reports the root unphysical
-    guess = fock.BlochMoments.from_vector(1.1 * np.array(UNPHYSICAL_ROOT))
-    res = bbr.steady_root_search(params, mode, guess)
+    res = bbr.steady_root_search(params, mode, 1.1 * np.array(UNPHYSICAL_ROOT))
     assert res.converged and not res.physical and not res.found
-    assert res.newton_steps <= 3
+    assert res.iterations <= 3
     assert res.state.n == pytest.approx(27.0516, rel=1e-5)
     assert res.state.purity == pytest.approx(2.561, rel=1e-3)
 

@@ -225,6 +225,12 @@ def test_output_root_from_the_environment(tmp_path, monkeypatch):
     ("custom-propagate", "truncation_ceiling", 0.0),
     ("custom-steady", "truncation_ceiling", -1e-6),
     ("fig5-purity-maps", "g_grid_steps", 1),
+    ("fig1-nonosci-sweep", "gamma_min", -0.1),
+    ("fig4-bbr-steady-components", "gamma_min", 0.0),
+    ("fig5-purity-maps", "gamma_min", -0.05),
+    ("fig3-steady-distributions", "n0", 1),
+    ("fig4-bbr-steady-components", "n0", 1),
+    ("fig5-purity-maps", "n0", 1),
 ])
 def test_out_of_range_value_rejected(tmp_path, scenario, key, value):
     with pytest.raises(ConfigError, match=key):
