@@ -71,6 +71,8 @@ _N_SINGULAR = 1.0 + 1e-6
 _EPS = float(np.finfo(float).eps)
 # Newton steps a root search or an arclength corrector may take
 NEWTON_STEPS = 8
+SWEEP_RESIDUAL_TOL = 1e-9    # residual tolerance of every solve of a sweep
+BOUNDARY_RESOLUTION = 1e-4   # gamma to which a divergence is resolved
 
 
 @dataclass(frozen=True)
@@ -469,10 +471,8 @@ class _Arc:
     z = (y / w, gamma) of the end game.  One `_Residual`, re-pointed at each
     gamma, evaluates f, its Jacobian and df/dgamma and counts the work."""
 
-    def __init__(self, params: SystemParams, mode: BbrMode,
-                 residual_tol: float):
+    def __init__(self, params: SystemParams, mode: BbrMode):
         self.fun = _Residual(params, mode)
-        self.residual_tol = residual_tol
         self.corrector_steps = 0
 
     def tangent(self, y, gamma: float, w, border) -> np.ndarray:
@@ -493,7 +493,7 @@ class _Arc:
         predictor z0 = (u0, gamma0).  Returns (y, gamma, Newton steps) at a
         converged state, else None."""
         z0 = (u0 * w).tolist() + [float(gamma0)]
-        z, _, converged, steps = _newton(self.fun, z0, self.residual_tol,
+        z, _, converged, steps = _newton(self.fun, z0, SWEEP_RESIDUAL_TOL,
                                          border=(_border_row(t, w), z0))
         self.corrector_steps += steps
         return (z[:14], z[14], steps) if converged else None
@@ -534,7 +534,7 @@ def _locate_fold(arc: _Arc, y_a, gamma_a: float, t_a, w, phi_b: float,
 
 
 def _end_game(params: SystemParams, mode: BbrMode, y, target: float,
-              residual_tol: float, resolution: float, work: dict):
+              work: dict):
     """Follow the branch from its last found state y at params.gamma by
     pseudo-arclength continuation until it passes the grid gamma target or
     ends; never solves at a gamma past the branch's end.
@@ -545,9 +545,9 @@ def _end_game(params: SystemParams, mode: BbrMode, y, target: float,
     the arc has reached gamma >= target), "fold" when the tangent's gamma
     component changed sign (y is the located fold), or "divergence" when
     an arc step grew n and, with gamma approaching its limit like 1/n,
-    left less than `resolution` of gamma to go (y is the last arc point).
-    tail lists the arc points and the fold as (gamma, y) pairs."""
-    arc = _Arc(params, mode, residual_tol)
+    left less than BOUNDARY_RESOLUTION of gamma to go (y is the last arc
+    point).  tail lists the arc points and the fold as (gamma, y) pairs."""
+    arc = _Arc(params, mode)
     gamma = float(params.gamma)
     tail = []
     w = _arc_scale(y)
@@ -575,7 +575,7 @@ def _end_game(params: SystemParams, mode: BbrMode, y, target: float,
             guess = [a + lam * (b - a) for a, b in zip(y, y_new)]
             res = _tally(work, steady_root_search(
                 replace(params, gamma=target), mode, guess,
-                residual_tol=residual_tol))
+                residual_tol=SWEEP_RESIDUAL_TOL))
             if res.found:
                 y, gamma = res.state.vector.tolist(), target
                 break
@@ -594,7 +594,8 @@ def _end_game(params: SystemParams, mode: BbrMode, y, target: float,
         tail.append((gamma, y))
         # were gamma_end - gamma proportional to 1/n, the gamma left to go
         # would be (gamma - gamma_prev) n / (n_new - n)
-        if n_new > n and (gamma - gamma_prev) * n < resolution * (n_new - n):
+        if n_new > n and (gamma - gamma_prev) * n \
+                < BOUNDARY_RESOLUTION * (n_new - n):
             end = "divergence"
             break
         w_new = _arc_scale(y)
@@ -622,9 +623,8 @@ def _secant(a, b, target: float) -> list:
     return [q + lam * (q - p) for p, q in zip(y_a, y_b)]
 
 
-def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
-                residual_tol: float = 1e-9,
-                boundary_resolution: float = 1e-4) -> GammaSweep:
+def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *,
+                J: float = 1.0) -> GammaSweep:
     """Track the steady-state branch over an ascending gamma grid.
 
     The branch is anchored at the first grid point by one root search from
@@ -636,7 +636,7 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
     the end game (`_end_game`) follows the branch in pseudo-arclength from
     the last found state: back onto the grid, where natural continuation
     resumes, or to the branch's end, a fold located by a secant on the
-    tangent or a divergence resolved to `boundary_resolution` in gamma.
+    tangent or a divergence resolved to BOUNDARY_RESOLUTION in gamma.
     Grid points past the end are marked non-existing.  `work` sums the
     work counts of the searches and the end game.
     """
@@ -650,7 +650,7 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
     params, mode = _params_at(grid[0], g, n0, J, mode_kind)
     res = _tally(work, steady_root_search(
         params, mode, u0_steady_guess(params).vector,
-        residual_tol=residual_tol))
+        residual_tol=SWEEP_RESIDUAL_TOL))
     if not res.found:
         return GammaSweep(
             g=g, mode_kind=mode_kind,
@@ -672,14 +672,13 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *, J: float = 1.0,
         current = (params.gamma, state.vector.tolist())
         guess = (current[1] if before is None
                  else _secant(before, current, target))
-        res = _tally(work, steady_root_search(params_t, mode, guess,
-                                              residual_tol=residual_tol))
+        res = _tally(work, steady_root_search(
+            params_t, mode, guess, residual_tol=SWEEP_RESIDUAL_TOL))
         if res.found:
             before, state = current, res.state
         else:
             kind, gamma, y, arc_tail = _end_game(
-                params, mode, current[1], target, residual_tol,
-                boundary_resolution, work)
+                params, mode, current[1], target, work)
             tail += [SweepPoint(gamma=gm, g=g, exists=True,
                                 state=BlochMoments.from_vector(ym))
                      for gm, ym in arc_tail]

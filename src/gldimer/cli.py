@@ -334,7 +334,7 @@ def _closedform_rows(sol, ts):
     for i, t in enumerate(ts):
         s_x, s_y, s_z, n = vals[0][i], vals[1][i], vals[2][i], vals[3][i]
         rows.append((t, s_x, s_y, s_z, n, s_x / n, s_y / n, s_z / n,
-                     (s_x**2 + s_y**2 + s_z**2) / n**2))
+                     fock._purity(s_x, s_y, s_z, n)))
     return rows
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (CoalescenceError, DivergentSteadyStateError,
                      NonNormalizableError, RegimeError)
+from .fock import _purity
 from .system import SystemParams
 
 _CLAMP = 1e-12
@@ -40,7 +41,7 @@ class SteadyMoments:
 
     @property
     def purity(self) -> float:
-        return (self.s_x**2 + self.s_y**2 + self.s_z**2) / self.n**2
+        return _purity(self.s_x, self.s_y, self.s_z, self.n)
 
 
 def steady_alpha(params: SystemParams) -> SteadyMoments:
@@ -205,10 +206,6 @@ class SingleModeSteady:
     def probabilities(self, j_max: int) -> np.ndarray:
         j = np.arange(j_max + 1)
         return (1 - self.xi) * self.xi**j
-
-    @property
-    def mean(self) -> float:
-        return self.xi / (1 - self.xi)
 
 
 def single_mode_steady(gamma_gain: float, gamma_loss: float) -> SingleModeSteady:

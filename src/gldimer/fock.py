@@ -24,9 +24,10 @@ import scipy.sparse as sp
 
 from .errors import DegenerateStateError
 
-# Negative diagonal entries above this floor are treated as roundoff and
-# clipped to zero in reported probability distributions only.
+# Diagonal entries in (-_DIAG_CLIP, 0) are roundoff: check_density_matrix
+# accepts them, and reported probability distributions clip them to zero.
 _DIAG_CLIP = 1e-8
+_TRACE_TOL, _HERM_TOL = 1e-8, 1e-10  # check_density_matrix's other bounds
 
 
 @dataclass(frozen=True)
@@ -196,14 +197,15 @@ def fock_density(basis: TwoModeBasis, n1: int, n2: int) -> np.ndarray:
     return rho
 
 
-def check_density_matrix(rho: np.ndarray, *, trace_tol: float = 1e-8,
-                         herm_tol: float = 1e-10, diag_floor: float = -1e-8):
-    """Raise ValueError if rho is not a valid (truncated) density matrix."""
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
-        raise ValueError(f"trace {np.trace(rho)} deviates from 1")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+def check_density_matrix(rho: np.ndarray):
+    """Raise ValueError unless rho is a density matrix to roundoff: trace 1
+    to _TRACE_TOL, Hermitian to _HERM_TOL, diagonal above -_DIAG_CLIP."""
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
+        raise ValueError(f"trace {trace} deviates from 1")
+    if np.max(np.abs(rho - rho.conj().T)) > _HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if np.min(np.diagonal(rho).real) < diag_floor:
+    if np.min(np.diagonal(rho).real) < -_DIAG_CLIP:
         raise ValueError("density matrix has a significantly negative diagonal")
 
 

@@ -14,7 +14,7 @@ theta = acos(1 - 2|c1|^2 / n) with n = |c1|^2 + |c2|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, pi, sin, sqrt
+from math import acos, cos, pi, sin
 
 import numpy as np
 
@@ -32,10 +32,10 @@ class AngleRepr:
     theta: float
 
 
-def state_from_angles(phi: float, theta: float, norm: float = 1.0) -> np.ndarray:
-    """Amplitudes (sin(theta/2) e^{i phi}, cos(theta/2)) * sqrt(norm)."""
-    return sqrt(norm) * np.array(
-        [sin(theta / 2) * np.exp(1j * phi), cos(theta / 2)], dtype=complex)
+def state_from_angles(phi: float, theta: float) -> np.ndarray:
+    """Normalized amplitudes (sin(theta/2) e^{i phi}, cos(theta/2))."""
+    return np.array([sin(theta / 2) * np.exp(1j * phi), cos(theta / 2)],
+                    dtype=complex)
 
 
 def angles(psi: np.ndarray) -> AngleRepr:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,7 +60,7 @@ class SteadySolveConfig:
     residual_tol: float = 1e-10        # on max|L(rho)|, verified independently
     truncation_ceiling: float = 1e-6
     # eigenvalues in (-clip_floor, 0) are clipped, lower ones an error
-    clip_floor: float = 1e-10
+    clip_floor: ClassVar[float] = 1e-10
 
     def __post_init__(self):
         if self.residual_tol <= 0:

@@ -270,7 +270,7 @@ def test_arc_tangent_is_the_unit_null_vector_of_the_branch(mode_kind,
     y = bbr.sweep_gamma(gammas, 0.5, 100,
                         mode_kind).points[-1].state.vector.tolist()
     params, mode = bbr._params_at(gammas[-1], 0.5, 100, 1.0, mode_kind)
-    arc = bbr._Arc(params, mode, 1e-9)
+    arc = bbr._Arc(params, mode)
     w = bbr._arc_scale(y)
     e_gamma = np.zeros(15)
     e_gamma[14] = 1.0
@@ -298,7 +298,7 @@ def test_arc_corrector_lands_on_the_branch_in_the_predictor_hyperplane(
     y = bbr.sweep_gamma(gammas, 0.5, 100,
                         mode_kind).points[-1].state.vector.tolist()
     params, mode = bbr._params_at(gammas[-1], 0.5, 100, 1.0, mode_kind)
-    arc = bbr._Arc(params, mode, 1e-9)
+    arc = bbr._Arc(params, mode)
     w = bbr._arc_scale(y)
     e_gamma = np.zeros(15)
     e_gamma[14] = 1.0
@@ -595,8 +595,7 @@ def test_sweep_warm_start_continuity():
 
 
 def test_sweep_boundary_resolution():
-    sweep = bbr.sweep_gamma(np.arange(0.2, 1.3, 0.1), 0.5, 100, "fixed-U",
-                            boundary_resolution=1e-4)
+    sweep = bbr.sweep_gamma(np.arange(0.2, 1.3, 0.1), 0.5, 100, "fixed-U")
     assert sweep.boundary == pytest.approx(0.999, abs=5e-3)
     existing = [p.gamma for p in sweep.points if p.exists]
     assert max(existing) < sweep.boundary
