@@ -11,8 +11,7 @@ exactly trace preserving there.
 Two representations are provided:
 
 * the full superoperator on vec(rho) (column stacking), used by
-  `propagate` and as the tests' oracle; `propagate` re-hermitizes the
-  state after every step, and
+  `propagate` and as the tests' oracle, and
 * a block representation on the number-conserving coherence sector
   (matrix elements <n1,n2|rho|m1,m2> with n1+n2 = m1+m2), used by
   `moment_trajectory`, `verify_attractor` and the steady-state solve.
@@ -26,13 +25,14 @@ Both propagations return a `Trajectory`: the `fock.MomentTrajectory` of
 the sampled Bloch moments, with the boundary mass of every sample, the
 final state and the integrator's step counts.
 
-The sector blocks of a density matrix are Hermitian, so the block
-representation packs each of them into real Hermitian coordinates (the
-diagonal and the real and imaginary parts of one triangle), in which the
-generator is a real matrix.  It is written in closed form from its
-complex matrix elements per particle-number sector and then mapped to
-these coordinates.  A state in them is Hermitian by construction, so
-block propagation needs no re-hermitization.
+Both propagations run on real Hermitian coordinates (the diagonal and the
+real and imaginary parts of one triangle), in which the generator is a
+real matrix: `moment_trajectory` on those of each sector block,
+`propagate` on those of the whole density matrix.  The block generator is
+written in closed form from its complex matrix elements per
+particle-number sector, the full one is the superoperator; each is then
+mapped to its coordinates.  A state in them is Hermitian by construction,
+so neither propagation re-hermitizes.
 """
 
 from __future__ import annotations
@@ -189,15 +189,44 @@ def number_block_space(basis: TwoModeBasis) -> NumberBlockSpace:
     )
 
 
-def pack_block(rho: np.ndarray, space: NumberBlockSpace) -> np.ndarray:
-    """Real Hermitian coordinates of the grade-0 blocks of rho; their
+@dataclass(frozen=True)
+class _FullIndex:
+    """Real Hermitian coordinates of the whole density matrix, in the
+    fields of NumberBlockSpace that the packing functions read: position
+    p = i + j * dim (column stacking, as `build_liouvillian`) stands for
+    rho[i, j], its real part for i <= j, its imaginary part for i > j."""
+
+    basis: TwoModeBasis
+    size: int
+    entries: np.ndarray
+    herm_perm: np.ndarray
+    lower: np.ndarray
+    diag_positions: np.ndarray
+
+
+def _full_index(basis: TwoModeBasis) -> _FullIndex:
+    dim = basis.dim
+    col, row = np.divmod(np.arange(dim * dim), dim)
+    # column stacking of rho is row stacking of its transpose: the flat
+    # index i * dim + j of rho[i, j] is the position of rho[j, i]
+    transposed = col + row * dim
+    return _FullIndex(basis, dim * dim, transposed, transposed, row > col,
+                      np.arange(dim) * (dim + 1))
+
+
+def pack_block(rho: np.ndarray,
+               space: NumberBlockSpace | _FullIndex) -> np.ndarray:
+    """Real Hermitian coordinates of rho in the layout of `space`: of its
+    grade-0 blocks, or of the whole matrix for a `_FullIndex`.  The
     anti-Hermitian part is dropped."""
     v = rho.ravel()[space.entries]
     return np.where(space.lower, v.imag, v.real)
 
 
-def unpack_block(x: np.ndarray, space: NumberBlockSpace) -> np.ndarray:
-    """The Hermitian grade-0 density matrix with real coordinates x."""
+def unpack_block(x: np.ndarray,
+                 space: NumberBlockSpace | _FullIndex) -> np.ndarray:
+    """The Hermitian density matrix with real coordinates x in the layout
+    of `space` (zero outside the grade-0 blocks of a NumberBlockSpace)."""
     xt = x[space.herm_perm]
     imag = np.where(space.lower, x, -xt)
     imag[space.diag_positions] = 0.0
@@ -207,7 +236,7 @@ def unpack_block(x: np.ndarray, space: NumberBlockSpace) -> np.ndarray:
     return rho.reshape(dim, dim)
 
 
-def _coordinate_map(space: NumberBlockSpace) -> sp.csr_array:
+def _coordinate_map(space: NumberBlockSpace | _FullIndex) -> sp.csr_array:
     """The complex matrix T that takes real coordinates to the packed
     entries they stand for: column p holds the weights of x_p in the entry
     at p and in the one at its transposed position."""
@@ -281,11 +310,11 @@ def _packed_generator(params: SystemParams,
 
 
 def _real_generator(gen: sp.csr_array,
-                    space: NumberBlockSpace) -> sp.csr_array:
+                    space: NumberBlockSpace | _FullIndex) -> sp.csr_array:
     """The real matrix that acts on real coordinates as `gen` acts on the
     packed entries they stand for.  `gen` must map Hermitian blocks to
-    Hermitian ones, as every Lindblad generator does; the result keeps the
-    sector block structure."""
+    Hermitian ones, as every Lindblad generator does; on a
+    NumberBlockSpace the result keeps the sector block structure."""
     # Re(w v) is Re v or Im v
     rows = sp.diags_array(np.where(space.lower, -1j, 1.0))
     out = (rows @ gen @ _coordinate_map(space)).real
@@ -361,13 +390,16 @@ class Trajectory(MomentTrajectory):
                    self.purity, self.delta_nn, self.truncation_mass)
 
 
-def _trajectory(result, moments, masses, rho_final) -> Trajectory:
-    """Trajectory of an integrator result whose samples have the given
-    moments and boundary masses."""
+def _trajectory(result, blocks: np.ndarray, rho_final: np.ndarray,
+                basis: TwoModeBasis) -> Trajectory:
+    """Trajectory of an integrator result whose samples have the grade-0
+    coordinates `blocks`, which determine every recorded observable."""
+    bpos = number_block_space(basis).boundary_diag_positions
     return Trajectory(
         ts=np.asarray(result.sample_ts),
-        ys=np.array([m.vector for m in moments]),
-        truncation_mass=np.asarray(masses), rho_final=rho_final,
+        ys=np.array([block_moments(x, basis).vector for x in blocks]),
+        truncation_mass=np.array([float(np.sum(x[bpos])) for x in blocks]),
+        rho_final=rho_final,
         n_steps=result.n_steps, n_rejected=result.n_rejected,
         n_rhs=result.n_rhs)
 
@@ -389,11 +421,9 @@ def boundary_monitor(boundary: np.ndarray, ceiling: float,
 
 
 def _integrate(y0: np.ndarray, t_final: float, gen: sp.csr_array,
-               boundary: np.ndarray, config: PropagationConfig,
-               on_step=None):
-    """Integrate y' = gen y, passing on_step to the integrator and aborting
-    once the diagonal entries at `boundary` carry more than the
-    ceiling."""
+               boundary: np.ndarray, config: PropagationConfig):
+    """Integrate y' = gen y, aborting once the diagonal entries at
+    `boundary` carry more than the ceiling."""
     monitor = boundary_monitor(boundary, config.truncation_ceiling)
     monitor(0.0, y0)
 
@@ -404,36 +434,31 @@ def _integrate(y0: np.ndarray, t_final: float, gen: sp.csr_array,
         rhs, (0.0, t_final), y0,
         rtol=config.rtol, atol=config.atol,
         sample_times=sample_grid(t_final, config.sample_interval, 200),
-        on_step=on_step, monitor=monitor,
+        monitor=monitor,
     )
 
 
 def propagate(rho0: np.ndarray, t_final: float, params: SystemParams,
               basis: TwoModeBasis,
               config: PropagationConfig = PropagationConfig()) -> Trajectory:
-    """Propagate a density matrix with the full vectorized generator,
-    re-hermitizing the state after every step.
+    """Propagate a density matrix, every coherence grade of it, with the
+    full superoperator mapped to the real Hermitian coordinates of the
+    whole matrix; rho_final is exactly Hermitian.
 
     Aborts with TruncationOverflowError when the probability on the
     boundary shell exceeds the configured ceiling.
     """
     fock.check_density_matrix(rho0)
-    dim = basis.dim
-    transposed = np.arange(dim * dim).reshape(dim, dim).T.ravel()
-
-    def hermitize_step(_t, v):
-        return 0.5 * (v + v[transposed].conj())
-
+    index = _full_index(basis)
     result = _integrate(
-        rho0.ravel(order="F"), t_final, build_liouvillian(params, basis),
-        basis.boundary * dim + basis.boundary, config, hermitize_step)
-    moments, masses = [], []
-    for v in result.sample_ys:
-        rho = v.reshape((dim, dim), order="F")
-        moments.append(fock.bloch_moments(rho, basis))
-        masses.append(fock.truncation_mass(rho, basis))
-    return _trajectory(result, moments, masses,
-                       result.y.reshape((dim, dim), order="F"))
+        pack_block(rho0, index), t_final,
+        _real_generator(build_liouvillian(params, basis), index),
+        index.diag_positions[basis.boundary], config)
+    # both layouts keep the real part of rho[i, j] for i <= j, so the
+    # grade-0 coordinates are the full ones at the block entries' positions
+    grade0 = index.herm_perm[number_block_space(basis).entries]
+    return _trajectory(result, result.sample_ys[:, grade0],
+                       unpack_block(result.y, index), basis)
 
 
 def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
@@ -448,11 +473,9 @@ def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
     """
     fock.check_density_matrix(rho0)
     space = number_block_space(basis)
-    bpos = space.boundary_diag_positions
     result = _integrate(
         pack_block(rho0, space), t_final,
-        build_number_block_generator(params, basis), bpos, config)
-    moments = [block_moments(x, basis) for x in result.sample_ys]
-    masses = [float(np.sum(x[bpos])) for x in result.sample_ys]
-    return _trajectory(result, moments, masses,
-                       unpack_block(result.y, space))
+        build_number_block_generator(params, basis),
+        space.boundary_diag_positions, config)
+    return _trajectory(result, result.sample_ys,
+                       unpack_block(result.y, space), basis)

@@ -1,8 +1,8 @@
 """Adaptive embedded Runge-Kutta 5(4) integrator (Dormand-Prince pair).
 
-Hand-rolled rather than delegated so that per-step post-processing (e.g.
-re-hermitization of a propagated density matrix) and per-step abort
-monitors (e.g. truncation-mass ceilings) hook into every accepted step.
+Hand-rolled rather than delegated so that every step is clamped onto the
+sample times (the samples are states, not interpolants) and a per-step
+abort monitor (e.g. a truncation-mass ceiling) sees every accepted state.
 Works on real or complex flat state vectors.
 """
 
@@ -101,14 +101,12 @@ def integrate_dp45(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     sample_times: Sequence[float] | None = None,
-    on_step: Callable[[float, np.ndarray], np.ndarray] | None = None,
     monitor: Callable[[float, np.ndarray], None] | None = None,
 ) -> OdeResult:
     """Integrate y' = rhs(t, y) from t_span[0] to t_span[1].
 
-    sample_times are hit exactly (the step is clamped onto them).  on_step
-    may return a replacement state after every accepted step; monitor is
-    called after every accepted step and may raise to abort.  Backward
+    sample_times are hit exactly (the step is clamped onto them).  monitor
+    is called after every accepted step and may raise to abort.  Backward
     integration (t1 < t0) is supported.
     """
     if rtol <= 0 or atol <= 0:
@@ -178,12 +176,6 @@ def integrate_dp45(
             t = t + dt
             y = y_new
             k[0] = k[6]
-            if on_step is not None:
-                # post-step projection (e.g. hermitization); assumed small
-                # enough that the FSAL derivative stays valid
-                y_fixed = on_step(t, y)
-                if y_fixed is not None:
-                    y = y_fixed
             if monitor is not None:
                 monitor(t, y)
             record_if_sample(t, y)

@@ -131,6 +131,8 @@ def test_critical_gamma():
     assert cf.critical_gamma(100, 1.0) == pytest.approx(2.019802, abs=1e-6)
     assert cf.critical_gamma(10**9, 1.0) == pytest.approx(2.0, abs=1e-8)
     assert cf.critical_gamma(1, 1.0) == pytest.approx(3.0)
+    # gamma_plus = 2J scales with the tunnelling amplitude
+    assert cf.critical_gamma(1, 2.5) == pytest.approx(7.5)
 
 
 def _rate_form_purity(p):

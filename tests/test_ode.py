@@ -57,18 +57,6 @@ def test_step_underflow_raises():
                        atol=1e-14)
 
 
-def test_on_step_hook_applied():
-    seen = []
-
-    def hook(t, y):
-        seen.append(t)
-        return y
-
-    integrate_dp45(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
-                   rtol=1e-8, atol=1e-10, on_step=hook)
-    assert len(seen) > 0
-
-
 def test_monitor_abort():
     class Abort(RuntimeError):
         pass
