@@ -8,10 +8,10 @@ with D(c) rho = c rho c^dag - (c^dag c rho + rho c^dag c)/2.  Operator
 products are taken in the truncated space, which keeps the generator
 exactly trace preserving there.
 
-Two representations are provided:
+Three representations are provided:
 
 * the full superoperator on vec(rho) (column stacking), used by
-  `propagate` and as the tests' oracle, and
+  `propagate` and as the tests' oracle;
 * a block representation on the number-conserving coherence sector
   (matrix elements <n1,n2|rho|m1,m2> with n1+n2 = m1+m2), used by
   `moment_trajectory`, `verify_attractor` and the steady-state solve.
@@ -19,7 +19,10 @@ Two representations are provided:
   total occupation of bra and ket sides equally), and every exported
   observable is number conserving, so this block reproduces the full
   dynamics of those observables exactly at a fraction of the cost.  This
-  makes large cutoffs affordable.
+  makes large cutoffs affordable;
+* the matrix form `apply_liouvillian`, which shares no assembly with the
+  other two: it verifies the steady state on its block-sparse form and
+  serves the tests as an oracle.
 
 Both propagations return a `Trajectory`: the `fock.MomentTrajectory` of
 the sampled Bloch moments, with the boundary mass of every sample, the
@@ -102,9 +105,9 @@ def build_liouvillian(params: SystemParams, basis: TwoModeBasis) -> sp.csr_array
 
 def apply_liouvillian(rho: np.ndarray, params: SystemParams,
                       basis: TwoModeBasis) -> np.ndarray:
-    """Generator applied in matrix form; independent of the superoperator
-    assembly, which makes it suitable for residual verification.  The
-    sparse operators multiply the dense rho directly."""
+    """Generator applied in matrix form; independent of the generator
+    assemblies, which makes it suitable for residual verification.  The
+    sparse operators multiply rho, dense or sparse, directly."""
     h = fock.hamiltonian(basis, params.J, params.U)
     out = -1j * (h @ rho - rho @ h)
     for op, rate in zip(_jump_ops(params, basis),
@@ -137,7 +140,6 @@ class NumberBlockSpace:
     """
 
     basis: TwoModeBasis
-    sectors: tuple  # tuple of ndarray of flat state indices per total N
     offsets: np.ndarray
     size: int
     sector_of: np.ndarray            # total N of every packed position
@@ -166,7 +168,6 @@ def number_block_space(basis: TwoModeBasis) -> NumberBlockSpace:
     def flat(total, n1):
         return n1 * (cutoff + 1) + total - n1
 
-    sectors = tuple(flat(n, lo[n] + np.arange(d[n])) for n in totals)
     offsets = np.concatenate(([0], np.cumsum(d * d)))
     size = int(offsets[-1])
 
@@ -179,7 +180,7 @@ def number_block_space(basis: TwoModeBasis) -> NumberBlockSpace:
     kets = flat(sector_of, n1_ket)
     diag_pos = np.flatnonzero(n1_ket == n1_bra)
     return NumberBlockSpace(
-        basis=basis, sectors=sectors, offsets=offsets, size=size,
+        basis=basis, offsets=offsets, size=size,
         sector_of=sector_of, n1_ket=n1_ket, n1_bra=n1_bra,
         entries=kets * basis.dim + flat(sector_of, n1_bra),
         diag_positions=diag_pos,

@@ -19,12 +19,13 @@ factorization per sector, from the top sector down, in float32.  Those
 factors solve the pinned system to float32 accuracy only; iterative
 refinement against the float64 generator brings the solution to float64
 rounding in a few steps, each one block solve and one product with the
-generator, and a refinement that stalls is an error.  The state is then
-normalized to unit trace and unpacked to a complex density matrix, which
-is exactly Hermitian by construction; its negligible negative
-eigenvalues are clipped (a larger one is an error), and its residual is
-verified by an independent application of the full generator in matrix
-form, never trusted from the solver.
+generator, and a refinement that stalls is an error.  On the sector
+blocks the state is then normalized to unit trace, their negligible
+negative eigenvalues are clipped (a larger one is an error), and its
+moments and boundary mass are read.  Unpacked once, to the output density
+matrix, it is exactly Hermitian by construction; its residual is verified
+by an independent application of the full generator in matrix form to
+that matrix in sparse form, never trusted from the solver.
 """
 
 from __future__ import annotations
@@ -255,17 +256,17 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
     x, steps, correction = _refine(gen, solve, space)
     del solve                    # frees the factors before post-processing
     lap("refine")
-    rho, adjustments, floor = _post_process(
-        liouville.unpack_block(x / x[space.diag_positions].sum(), space),
-        config, space.sectors)
+    x, adjustments, floor = _post_process(
+        x / x[space.diag_positions].sum(), config, space)
+    rho = liouville.unpack_block(x, space)
     lap("post_process")
-    residual = float(np.max(np.abs(
-        liouville.apply_liouvillian(rho, params, basis))))
+    residual = float(np.max(np.abs(liouville.apply_liouvillian(
+        sp.csr_array(rho), params, basis).data)))
     if residual >= config.residual_tol:
         raise ConvergenceError(
             f"steady-state solve: achieved residual {residual:.3e} is not "
             f"below the tolerance {config.residual_tol:.3e}")
-    mass = fock.truncation_mass(rho, basis)
+    mass = float(x[space.boundary_diag_positions].sum())
     if mass > config.truncation_ceiling:
         raise TruncationOverflowError(
             f"steady state carries boundary mass {mass:.3e} above the "
@@ -274,29 +275,41 @@ def solve_steady(params: SystemParams, basis: TwoModeBasis,
 
     lap("verify")
     return SteadySolution(
-        rho=rho, moments=fock.bloch_moments(rho, basis), residual=residual,
-        truncation_mass=mass, eigenvalue_floor=floor,
+        rho=rho, moments=liouville.block_moments(x, basis),
+        residual=residual, truncation_mass=mass, eigenvalue_floor=floor,
         adjustments=adjustments,
-        phase_seconds=seconds, n_sectors=len(space.sectors),
+        phase_seconds=seconds, n_sectors=len(space.offsets) - 1,
         max_block_order=int(np.max(np.diff(space.offsets))),
         matvecs=steps - 1, refine_correction=correction,
     )
 
 
-def _post_process(rho_raw: np.ndarray, config: SteadySolveConfig, sectors):
+def _sector_blocks(xs: np.ndarray, space: liouville.NumberBlockSpace):
+    """The slice of each sector N = 0, 1, ... in the real coordinates xs,
+    one state per row, with its Hermitian d_N x d_N blocks; only their
+    lower triangles are set, all that eigh and eigvalsh read."""
+    for lo, hi in zip(space.offsets[:-1], space.offsets[1:]):
+        d = math.isqrt(int(hi - lo))
+        # column-stacked coordinates read row-major: m = X^T, so the lower
+        # triangle of m carries the real parts, the strict lower one of X
+        # the imaginary parts
+        m = xs[..., lo:hi].reshape(*xs.shape[:-1], d, d)
+        yield slice(lo, hi), m + 1j * np.tril(np.swapaxes(m, -1, -2), -1)
+
+
+def _post_process(x_raw: np.ndarray, config: SteadySolveConfig,
+                  space: liouville.NumberBlockSpace):
     """Clip negligible negative eigenvalues and renormalize to unit trace;
     both adjustments are recorded.  Also returns the smallest eigenvalue
-    before clipping.  rho_raw is Hermitian, as `liouville.unpack_block`
-    builds it, and vanishes outside the diagonal blocks of the index sets
-    `sectors`, one per total particle number N; each block is
-    diagonalized on its own.  Raises ConvergenceError naming the sector
-    of an eigenvalue at or below -config.clip_floor."""
-    # a copy whose exact zeros are all +0.0, whatever their signs in x
-    rho = rho_raw + 0.0
+    before clipping.  x_raw holds the real coordinates of a grade-0 state,
+    and each sector block is diagonalized on its own.  Raises
+    ConvergenceError naming the sector of an eigenvalue at or below
+    -config.clip_floor."""
+    # a copy whose exact zeros are all +0.0, whatever their signs in x_raw
+    x = x_raw + 0.0
     floor, clipped = np.inf, 0.0
-    for n, sec in enumerate(sectors):
-        blk = np.ix_(sec, sec)
-        evals, evecs = np.linalg.eigh(rho[blk])
+    for n, (at, block) in enumerate(_sector_blocks(x, space)):
+        evals, evecs = np.linalg.eigh(block)
         lowest = float(evals.min())
         if lowest <= -config.clip_floor:
             raise ConvergenceError(
@@ -308,10 +321,12 @@ def _post_process(rho_raw: np.ndarray, config: SteadySolveConfig, sectors):
         if negative.any():
             clipped -= float(evals[negative].sum())
             evals = np.where(negative, 0.0, evals)
-            rho[blk] = (evecs * evals) @ evecs.conj().T
-    tr = np.trace(rho).real
-    rho = rho / tr
-    return rho, {
+            # m = X^T of the clipped block, as _sector_blocks reads it
+            b = ((evecs * evals) @ evecs.conj().T).T
+            x[at] = np.where(np.tri(len(b), dtype=bool), b.real,
+                             b.imag).ravel()
+    tr = x[space.diag_positions].sum()
+    return x / tr, {
         "clipped_negative_mass": clipped,
         "trace_renormalization": float(abs(tr - 1.0)),
     }, floor
@@ -322,24 +337,6 @@ class AttractorReport:
     ts: np.ndarray
     distances: np.ndarray        # (n_perturbations, len(ts))
     fitted_rates: np.ndarray     # decay rate per perturbation
-
-
-def _block_trace_distances(xs: np.ndarray,
-                           space: liouville.NumberBlockSpace) -> np.ndarray:
-    """Half the trace norm of the Hermitian grade-0 matrix whose real
-    coordinates are each row of xs.  The matrix is block diagonal over
-    the number sectors, so its eigenvalues are those of the d_N x d_N
-    sector blocks, taken for all rows at once."""
-    total = np.zeros(len(xs))
-    for lo, hi in zip(space.offsets[:-1], space.offsets[1:]):
-        d = math.isqrt(int(hi - lo))
-        # column-stacked coordinates read row-major: m[k] = X_k^T, so the
-        # lower triangle of m carries the real parts and the strict lower
-        # triangle of X_k the imaginary parts, all eigvalsh reads
-        m = xs[:, lo:hi].reshape(-1, d, d)
-        block = m + 1j * np.tril(np.swapaxes(m, 1, 2), -1)
-        total += np.abs(np.linalg.eigvalsh(block)).sum(axis=1)
-    return 0.5 * total
 
 
 def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
@@ -384,7 +381,9 @@ def verify_attractor(rho_ss: np.ndarray, params: SystemParams,
             lambda _t, y: gen @ y, (0.0, t_horizon), delta0,
             rtol=config.rtol, atol=config.atol, sample_times=ts,
             monitor=monitor)
-        ds = _block_trace_distances(res.sample_ys, space)
+        # half the trace norm, from the eigenvalues of the sector blocks
+        ds = 0.5 * sum(np.abs(np.linalg.eigvalsh(block)).sum(axis=1)
+                       for _, block in _sector_blocks(res.sample_ys, space))
         distances.append(ds)
         half = len(ts) // 2
         good = ds[half:] > 1e-14

@@ -31,10 +31,9 @@ def basis24():
 
 
 @pytest.fixture(scope="session")
-def fig3_steady(fig3_params, basis24):
+def fig3_steady(steady_n0_5):
     """Interacting steady state at the reference parameter set."""
-    cfg = steadysolve.SteadySolveConfig(truncation_ceiling=5e-3)
-    return steadysolve.solve_steady(fig3_params, basis24, cfg)
+    return steady_n0_5(0.5, 24)
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +42,23 @@ def u0_steady_n5(basis24):
     params = SystemParams(J=1.0, U=0.0, gamma=0.5, n0=5)
     cfg = steadysolve.SteadySolveConfig(truncation_ceiling=1e-3)
     return params, steadysolve.solve_steady(params, basis24, cfg)
+
+
+@pytest.fixture(scope="session")
+def steady_n0_5():
+    """The steady state at n0 = 5, gamma = 0.5 (fig3_params at g = 0.5) for
+    a given (g, cutoff); each is solved once per session."""
+    cfg = steadysolve.SteadySolveConfig(truncation_ceiling=5e-3)
+    solved = {}
+
+    def steady(g, cutoff):
+        if (g, cutoff) not in solved:
+            solved[g, cutoff] = steadysolve.solve_steady(
+                SystemParams.from_g(g=g, gamma=0.5, n0=5),
+                fock.build_basis(cutoff), cfg)
+        return solved[g, cutoff]
+
+    return steady
 
 
 def fd_moment_derivative(rho0, params, basis, eps=0.01):

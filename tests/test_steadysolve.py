@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from gldimer import closedform as cf, fock, liouville, steadysolve
+from gldimer import bbr, closedform as cf, fock, liouville, steadysolve
 from gldimer.errors import ConvergenceError, TruncationOverflowError
 from gldimer.io import write_csv, write_json
 from gldimer.system import SystemParams
@@ -34,10 +34,20 @@ def test_u0_moments_match_analytic():
 
 
 def test_residual_verified_independently(fig3_params, basis24, fig3_steady):
-    # re-apply the generator in matrix form, never the solver's own system
-    res = liouville.apply_liouvillian(fig3_steady.rho, fig3_params, basis24)
-    assert np.max(np.abs(res)) < 1e-10
-    assert abs(np.trace(fig3_steady.rho).real - 1.0) < 1e-12
+    # re-apply the generator in matrix form, never the solver's own system,
+    # to the dense output; the residual, moments and boundary mass the
+    # solve reads on the packed coordinates match the dense route
+    rho = fig3_steady.rho
+    res = np.max(np.abs(liouville.apply_liouvillian(rho, fig3_params,
+                                                    basis24)))
+    assert res < 1e-10
+    assert fig3_steady.residual == pytest.approx(res, rel=0, abs=1e-20)
+    assert abs(np.trace(rho).real - 1.0) < 1e-12
+    dense = fock.bloch_moments(rho, basis24).vector
+    assert (np.max(np.abs(fig3_steady.moments.vector - dense))
+            <= 1e-13 * np.max(np.abs(dense)))
+    assert fig3_steady.truncation_mass == pytest.approx(
+        fock.truncation_mass(rho, basis24), rel=0, abs=1e-16)
 
 
 def test_physicality(fig3_steady, basis24):
@@ -178,57 +188,92 @@ def test_config_validation():
         steadysolve.SteadySolveConfig(residual_tol=0.0)
 
 
-@pytest.mark.parametrize("smallest", [-1e-12, -1e-6])
-def test_eigenvalue_floor_is_taken_before_clipping(smallest):
-    # an eigenvalue in (-clip_floor, 0) is clipped and its mass recorded;
-    # one at or below -clip_floor fails, naming its sector and its value
-    rng = np.random.default_rng(1)
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3))
-                        + 1j * rng.normal(size=(3, 3)))
-    rho = (q * np.array([0.6, 0.4 - smallest, smallest])) @ q.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    cfg = steadysolve.SteadySolveConfig()
-    sectors = (np.arange(3),)
-    if smallest < -cfg.clip_floor:
-        with pytest.raises(ConvergenceError,
-                           match=f"sector N = 0 has eigenvalue {smallest:.3e}"):
-            steadysolve._post_process(rho, cfg, sectors)
-        return
-    clipped, adjustments, floor = steadysolve._post_process(rho, cfg,
-                                                            sectors)
-    assert floor == pytest.approx(-1e-12, abs=1e-15)
-    assert adjustments["clipped_negative_mass"] == pytest.approx(
-        1e-12, abs=1e-15)
-    assert np.linalg.eigvalsh(clipped).min() > -1e-15
-
-
-def test_post_process_per_sector_matches_whole_matrix():
-    # block-diagonal state on interleaved index sets, one sector carrying
-    # a -1e-12 eigenvalue: per-sector diagonalization gives the same state,
-    # floor and adjustments as one whole-matrix eigh (a single sector of
-    # every index)
+def _packed_state(smallest):
+    """A cutoff-2 grade-0 state of unit trace, dense and in the real
+    coordinates of its NumberBlockSpace, whose sector N = 2 block carries
+    the eigenvalue `smallest`; every other eigenvalue is positive."""
+    basis = fock.build_basis(2)
+    space = liouville.number_block_space(basis)
     rng = np.random.default_rng(4)
-    sectors = (np.array([0, 3]), np.array([1, 4, 5]), np.array([2]))
-    spectra = ([0.3, 0.1], [0.35, 0.15 + 1e-12, -1e-12], [0.1])
-    rho = np.zeros((6, 6), dtype=complex)
-    for sec, evals in zip(sectors, spectra):
+    spectra = ([0.1], [0.15, 0.05], [0.2, 0.1 - smallest, smallest],
+               [0.15, 0.1], [0.15])
+    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for n, evals in enumerate(spectra):
+        sec = np.flatnonzero(basis.total_of == n)
         d = len(sec)
         q, _ = np.linalg.qr(rng.normal(size=(d, d))
                             + 1j * rng.normal(size=(d, d)))
         rho[np.ix_(sec, sec)] = (q * np.array(evals)) @ q.conj().T
     rho = 0.5 * (rho + rho.conj().T)
+    return space, rho, liouville.pack_block(rho, space)
+
+
+@pytest.mark.parametrize("smallest", [-1e-12, -1e-6])
+def test_eigenvalue_floor_is_taken_before_clipping(smallest):
+    # an eigenvalue in (-clip_floor, 0) is clipped and its mass recorded;
+    # one at or below -clip_floor fails, naming its sector and its value
+    space, _, x = _packed_state(smallest)
     cfg = steadysolve.SteadySolveConfig()
-    whole, adj_whole, floor_whole = steadysolve._post_process(
-        rho, cfg, (np.arange(len(rho)),))
-    split, adj_split, floor_split = steadysolve._post_process(rho, cfg,
-                                                              sectors)
-    assert floor_split == pytest.approx(-1e-12, abs=1e-15)
-    assert floor_split == pytest.approx(floor_whole, abs=1e-15)
-    for key in adj_whole:
-        assert adj_split[key] == pytest.approx(adj_whole[key], abs=1e-15)
-    assert adj_split["clipped_negative_mass"] == pytest.approx(1e-12,
-                                                               abs=1e-15)
-    assert np.max(np.abs(split - whole)) < 1e-14
+    if smallest < -cfg.clip_floor:
+        with pytest.raises(ConvergenceError,
+                           match=f"sector N = 2 has eigenvalue {smallest:.3e}"):
+            steadysolve._post_process(x, cfg, space)
+        return
+    clipped, adjustments, floor = steadysolve._post_process(x, cfg, space)
+    assert floor == pytest.approx(-1e-12, abs=1e-15)
+    assert adjustments["clipped_negative_mass"] == pytest.approx(
+        1e-12, abs=1e-15)
+    assert np.linalg.eigvalsh(
+        liouville.unpack_block(clipped, space)).min() > -1e-15
+
+
+def test_post_process_per_sector_matches_whole_matrix():
+    # the clip of the packed sector blocks, written back into the
+    # coordinates, is the clip of the dense state by one whole-matrix eigh:
+    # same state, floor and adjustments
+    space, rho, x = _packed_state(-1e-12)
+    evals, evecs = np.linalg.eigh(rho)
+    whole = (evecs * np.maximum(evals, 0.0)) @ evecs.conj().T
+    tr = np.trace(whole).real
+    split, adjustments, floor = steadysolve._post_process(
+        x, steadysolve.SteadySolveConfig(), space)
+    assert floor == pytest.approx(evals.min(), abs=1e-15)
+    assert adjustments["clipped_negative_mass"] == pytest.approx(
+        -evals[evals < 0].sum(), abs=1e-15)
+    assert adjustments["trace_renormalization"] == pytest.approx(
+        abs(tr - 1.0), abs=1e-15)
+    assert np.max(np.abs(liouville.unpack_block(split, space)
+                         - whole / tr)) < 1e-14
+
+
+# largest |bbr - exact| at cutoff 32 over g = 0, 0.05, 0.1 (n: the
+# truncation error at g = 0, where the moment equations close exactly),
+# times 1.5: n 1.40e-3, s_x 5.1e-4, s_z 5.1e-4, purity 1.2e-5
+_BBR_NESS_TOL = {"n": 2.1e-3, "s_x": 7.7e-4, "s_z": 7.7e-4, "purity": 3e-5}
+
+
+@pytest.mark.parametrize("g", [0.0, 0.05, 0.1])
+def test_bbr_branch_matches_exact_steady_state(g, steady_n0_5):
+    # the closed moment equations against the exact NESS where the NESS
+    # converges in the cutoff: the fixed-U branch followed from gamma 0.3
+    # to 0.5, at n0 = 5 and cutoff 32
+    sweep = bbr.sweep_gamma([0.3, 0.4, 0.5], g, 5, "fixed-U")
+    point = sweep.points[-1]
+    assert point.gamma == 0.5 and point.exists
+    exact = steady_n0_5(g, 32).moments
+    for key, tol in _BBR_NESS_TOL.items():
+        assert getattr(point.state, key) == pytest.approx(
+            getattr(exact, key), rel=0, abs=tol), key
+
+
+def test_cutoff_drift_is_pinned(fig3_steady, steady_n0_5):
+    # from cutoff 24 to 32 the interacting NESS at the fig3 point (g = 0.5)
+    # moves in n by 0.42 (5.6607 -> 6.0776), the one at g = 0.1 by 0.014
+    # (5.2690 -> 5.2829): the first does not converge in the cutoff, the
+    # second does
+    assert steady_n0_5(0.5, 32).moments.n - fig3_steady.moments.n > 0.3
+    assert abs(steady_n0_5(0.1, 32).moments.n
+               - steady_n0_5(0.1, 24).moments.n) < 0.03
 
 
 def test_marginals_close_to_geometric(fig3_params, basis24, fig3_steady):
