@@ -35,13 +35,15 @@ Jacobian's row lists.
 
 `sweep_gamma` follows a branch over a gamma grid by natural continuation,
 each grid step predicted by the secant through the two grid states before.
-Where a grid step fails, its end game follows the branch in
-pseudo-arclength from the last found state, with the analytic Jacobian
-and the analytic df/dgamma (`_moment_rhs_py.moment_rate_jacobian`), until
-the branch comes back onto the grid or ends: in a fold, which a secant on
-the tangent's gamma component locates, or in a divergence, where n grows
-without bound (the pure condensate of strong gain and loss).  No root
-search runs at a gamma past the end except the grid step that failed.
+At the first grid step that fails, the end game takes the branch over for
+good: it follows the branch in pseudo-arclength from the last found state,
+with the analytic Jacobian and the analytic df/dgamma
+(`_moment_rhs_py.moment_rate_jacobian`), solves at every grid gamma its
+arc passes, and stops at the grid end or where the branch ends: in a
+fold, which a secant on the tangent's gamma component locates, or in a
+divergence, where n grows without bound (the pure condensate of strong
+gain and loss).  No root search runs at a gamma past the end except the
+grid step that failed.
 """
 
 from __future__ import annotations
@@ -533,29 +535,31 @@ def _locate_fold(arc: _Arc, y_a, gamma_a: float, t_a, w, phi_b: float,
     return best
 
 
-def _end_game(params: SystemParams, mode: BbrMode, y, target: float,
+def _end_game(params: SystemParams, mode: BbrMode, y, targets: list,
               work: dict):
     """Follow the branch from its last found state y at params.gamma by
-    pseudo-arclength continuation until it passes the grid gamma target or
-    ends; never solves at a gamma past the branch's end.
+    pseudo-arclength continuation to its end, solving at each of the
+    remaining grid gammas targets (ascending) that the arc passes; never
+    solves at a gamma past the branch's end.
 
-    Returns (end, gamma, y, tail): end is None when the branch came back
-    on the grid (y is then the state at gamma = target, found by a root
-    search started on the chord between the arc states around it, once
-    the arc has reached gamma >= target), "fold" when the tangent's gamma
-    component changed sign (y is the located fold), or "divergence" when
-    an arc step grew n and, with gamma approaching its limit like 1/n,
-    left less than BOUNDARY_RESOLUTION of gamma to go (y is the last arc
-    point).  tail lists the arc points and the fold as (gamma, y) pairs."""
+    Each target that an arc step passes is solved by a root search started
+    on the chord between the arc states around it; a step whose searches
+    fail is halved.  Returns (end, gamma, y, grid_states, tail): end is
+    "grid end" once every target has its state (y is that of the last
+    target), "fold" when the tangent's gamma component changed sign (y is
+    the located fold), or "divergence" when an arc step grew n and, with
+    gamma approaching its limit like 1/n, left less than
+    BOUNDARY_RESOLUTION of gamma to go (y is the last arc point).
+    grid_states lists the states found at the leading targets and tail
+    the arc points and the fold as (gamma, y) pairs."""
     arc = _Arc(params, mode)
     gamma = float(params.gamma)
-    tail = []
+    grid_states, tail = [], []
     w = _arc_scale(y)
     e_gamma = np.zeros(15)
     e_gamma[14] = 1.0
     t = arc.tangent(y, gamma, w, e_gamma)
-    ds = min(ARC_STEP_MAX, 0.5 * (target - gamma) / t[14])
-    end = None
+    ds = min(ARC_STEP_MAX, 0.5 * (targets[0] - gamma) / t[14])
     for _ in range(ARC_MAX_STEPS):
         work["arc_steps"] += 1
         u = np.array(y) / w
@@ -569,18 +573,26 @@ def _end_game(params: SystemParams, mode: BbrMode, y, target: float,
         if fold:
             y_new, gamma_new = _locate_fold(arc, y, gamma, t, w,
                                             float(t_new[14]), ds)
-        if gamma_new >= target:
-            # the arc passed the grid point: solve there, from the arc
+        # the grid gammas the arc passed: solve there, from the arc
+        for target in targets[len(grid_states):]:
+            if target > gamma_new:
+                break
             lam = (target - gamma) / (gamma_new - gamma)
             guess = [a + lam * (b - a) for a, b in zip(y, y_new)]
             res = _tally(work, steady_root_search(
                 replace(params, gamma=target), mode, guess,
                 residual_tol=SWEEP_RESIDUAL_TOL))
-            if res.found:
-                y, gamma = res.state.vector.tolist(), target
+            if not res.found:
                 break
+            grid_states.append(res.state)
+        rest = targets[len(grid_states):]
+        if rest and rest[0] <= gamma_new:   # a search failed
             ds *= 0.5
             continue
+        if not rest:
+            end, gamma = "grid end", targets[-1]
+            y = grid_states[-1].vector.tolist()
+            break
         if fold:
             y, gamma = y_new, gamma_new
             tail.append((gamma, y))
@@ -611,7 +623,7 @@ def _end_game(params: SystemParams, mode: BbrMode, y, target: float,
             f"steps (gamma = {gamma:.10g}, n = {y[3]:.6g})")
     work["corrector_steps"] += arc.corrector_steps
     _count_evaluations(work, arc.fun)
-    return end, gamma, y, tail
+    return end, gamma, y, grid_states, tail
 
 
 def _secant(a, b, target: float) -> list:
@@ -631,20 +643,17 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *,
     the analytic non-interacting steady state (no root there: no point
     exists, end "no anchor") and followed by natural continuation, each
     grid search started from the secant predictor through the two grid
-    states before, or from the state before alone when it is the anchor
-    or the end game's return to the grid.  Where that search fails,
-    the end game (`_end_game`) follows the branch in pseudo-arclength from
-    the last found state: back onto the grid, where natural continuation
-    resumes, or to the branch's end, a fold located by a secant on the
-    tangent or a divergence resolved to BOUNDARY_RESOLUTION in gamma.
+    states before, or from the anchor alone.  At the first grid search
+    that fails, the end game (`_end_game`) takes the branch over from the
+    last found state and follows it in pseudo-arclength to its end, a fold
+    located by a secant on the tangent or a divergence resolved to
+    BOUNDARY_RESOLUTION in gamma, solving at every grid gamma it passes.
     Grid points past the end are marked non-existing.  `work` sums the
     work counts of the searches and the end game.
     """
     grid = np.asarray(sorted(float(x) for x in gammas))
     if len(grid) == 0 or grid[0] <= 0:
         raise ValueError("gamma grid must be positive and non-empty")
-    points: list[SweepPoint] = []
-    tail: list[SweepPoint] = []
     work = dict.fromkeys(WORK_KEYS, 0)
 
     params, mode = _params_at(grid[0], g, n0, J, mode_kind)
@@ -657,53 +666,41 @@ def sweep_gamma(gammas, g: float, n0: int, mode_kind: str, *,
             points=[SweepPoint(gamma=float(x), g=g, exists=False, state=None)
                     for x in grid],
             boundary=grid[0], end="no anchor", work=work)
-    points.append(SweepPoint(gamma=grid[0], g=g, exists=True,
-                             state=res.state))
-    state = res.state
-    # the grid state before `state` as (gamma, vector); None at the anchor
-    # and where the end game came back onto the grid
-    before = None
-
-    end, boundary = "grid end", None
-    next_idx = 1
-    while next_idx < len(grid):
-        target = float(grid[next_idx])
+    points = [SweepPoint(gamma=grid[0], g=g, exists=True, state=res.state)]
+    # the last two grid states as (gamma, vector) pairs, for the secant
+    last = [(params.gamma, res.state.vector.tolist())]
+    end, tail = "grid end", []
+    for target in grid[1:].tolist():
         params_t, mode = _params_at(target, g, n0, J, mode_kind)
-        current = (params.gamma, state.vector.tolist())
-        guess = (current[1] if before is None
-                 else _secant(before, current, target))
+        guess = last[-1][1] if len(last) == 1 else _secant(*last, target)
         res = _tally(work, steady_root_search(
             params_t, mode, guess, residual_tol=SWEEP_RESIDUAL_TOL))
-        if res.found:
-            before, state = current, res.state
-        else:
-            kind, gamma, y, arc_tail = _end_game(
-                params, mode, current[1], target, work)
-            tail += [SweepPoint(gamma=gm, g=g, exists=True,
-                                state=BlochMoments.from_vector(ym))
-                     for gm, ym in arc_tail]
-            if kind is not None:
-                end, boundary = kind, gamma
-                params = replace(params, gamma=gamma)
-                break
-            state = BlochMoments.from_vector(y)
-            before = None
+        if not res.found:
+            rest = grid[len(points):].tolist()
+            end, gamma, y, states, tail = _end_game(
+                params, mode, last[-1][1], rest, work)
+            points += [SweepPoint(gamma=x, g=g, exists=True, state=st)
+                       for x, st in zip(rest, states)]
+            break
         params = params_t
         points.append(SweepPoint(gamma=target, g=g, exists=True,
-                                 state=state))
-        next_idx += 1
-    if end == "grid end":
-        y = state.vector.tolist()
+                                 state=res.state))
+        last = [last[-1], (target, res.state.vector.tolist())]
+    else:
+        gamma, y = last[-1]
     # the smallest singular value of the Jacobian at the last state
-    fun = _Residual(params, mode)
+    fun = _Residual(replace(params, gamma=gamma), mode)
     sigma_min = float(np.linalg.svd(fun.jacobian(y), compute_uv=False)[-1])
     _count_evaluations(work, fun)
-    for rest in grid[next_idx:]:
-        points.append(SweepPoint(gamma=float(rest), g=g, exists=False,
-                                 state=None))
-    return GammaSweep(g=g, mode_kind=mode_kind, points=points,
-                      boundary=boundary, end=end, sigma_min=sigma_min,
-                      tail=tail, work=work)
+    points += [SweepPoint(gamma=x, g=g, exists=False, state=None)
+               for x in grid[len(points):].tolist()]
+    return GammaSweep(
+        g=g, mode_kind=mode_kind, points=points,
+        boundary=None if end == "grid end" else gamma, end=end,
+        sigma_min=sigma_min, work=work,
+        tail=[SweepPoint(gamma=gm, g=g, exists=True,
+                         state=BlochMoments.from_vector(ym))
+              for gm, ym in tail])
 
 
 def sum_work(sweeps) -> dict:

@@ -327,7 +327,8 @@ def test_fixed_u_branch_ends_in_a_located_fold(monkeypatch):
     monkeypatch.setattr(bbr, "steady_root_search", recording)
     sweep = bbr.sweep_gamma(np.arange(0.2, 1.3, 0.1), 0.5, 100, "fixed-U")
     assert sweep.end == "fold"
-    # the boundary_resolution=1e-7 bisection put the fold at 0.9990273
+    # the fold, located by the end game's secant on the tangent, lies at
+    # gamma = 0.9990273 (criterion 6 reads 0.9990272590)
     assert sweep.boundary == pytest.approx(0.9990273, abs=1e-6)
     assert sweep.sigma_min < 1e-8
     # the fold is the last tail state, the branch's largest gamma, and is
@@ -362,6 +363,44 @@ def test_constant_g_branch_diverges():
         assert bbr._classify(y)
         resid = np.max(np.abs(bbr.moment_rhs(y, params, bbr.ConstantG(0.3))))
         assert resid < max(1e-9, bbr._residual_floor(y, params))
+
+
+@pytest.mark.parametrize("stop", [1.94, 1.92])
+def test_end_game_follows_the_branch_to_its_end(monkeypatch, stop):
+    # the constant-g g = 0.3 branch diverges near gamma = 1.9268; natural
+    # continuation fails first at 1.91, where the end game takes over for
+    # the rest of the sweep: it diverges before 1.93, or reaches the grid
+    # end at 1.91
+    failed, end_games = [], []
+    search, end_game = bbr.steady_root_search, bbr._end_game
+
+    def recording(params, *args, **kwargs):
+        res = search(params, *args, **kwargs)
+        if not res.found:
+            failed.append(params.gamma)
+        return res
+
+    def counting(*args, **kwargs):
+        end_games.append(args[3])
+        return end_game(*args, **kwargs)
+
+    monkeypatch.setattr(bbr, "steady_root_search", recording)
+    monkeypatch.setattr(bbr, "_end_game", counting)
+    grid = np.arange(1.85, stop, 0.02)
+    sweep = bbr.sweep_gamma(grid, 0.3, 100, "constant-g")
+    assert failed == [pytest.approx(1.91)]
+    assert end_games == [grid[3:].tolist()]
+    exists = [p.exists for p in sweep.points]
+    if stop == 1.94:
+        assert exists == [True, True, True, True, False]
+        assert sweep.end == "divergence"
+        assert sweep.boundary == pytest.approx(
+            1.92679, abs=bbr.BOUNDARY_RESOLUTION)
+    else:
+        assert exists == [True, True, True, True]
+        assert (sweep.end, sweep.boundary) == ("grid end", None)
+        assert sweep.sigma_min == pytest.approx(1.5457830945611165e-08,
+                                                rel=1e-12)
 
 
 def test_sweep_end_kinds_without_an_end_game():
