@@ -187,7 +187,9 @@ def density_from_state(vec: np.ndarray) -> np.ndarray:
     norm2 = np.vdot(vec, vec).real
     if norm2 <= 0:
         raise ValueError("cannot build a density matrix from the zero vector")
-    return np.outer(vec, vec.conj()) / norm2
+    rho = np.outer(vec, vec.conj())
+    rho /= norm2
+    return rho
 
 
 def fock_density(basis: TwoModeBasis, n1: int, n2: int) -> np.ndarray:
@@ -203,7 +205,10 @@ def check_density_matrix(rho: np.ndarray):
     trace = np.trace(rho)
     if abs(trace.real - 1.0) > _TRACE_TOL or abs(trace.imag) > _TRACE_TOL:
         raise ValueError(f"trace {trace} deviates from 1")
-    if np.max(np.abs(rho - rho.conj().T)) > _HERM_TOL:
+    # |rho - rho^H| from real parts, without full-size complex temporaries
+    dev = rho.real - rho.real.T
+    np.hypot(dev, rho.imag + rho.imag.T, out=dev)
+    if np.max(dev) > _HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
     if np.min(np.diagonal(rho).real) < -_DIAG_CLIP:
         raise ValueError("density matrix has a significantly negative diagonal")

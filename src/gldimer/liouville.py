@@ -26,7 +26,9 @@ Three representations are provided:
 
 Both propagations return a `Trajectory`: the `fock.MomentTrajectory` of
 the sampled Bloch moments, with the boundary mass of every sample, the
-final state and the integrator's step counts.
+final state and the integrator's step counts.  The integrator records
+only those 15 numbers at each sample time, read from the state's grade-0
+coordinates there; no sampled state is kept.
 
 Both propagations run on real Hermitian coordinates (the diagonal and the
 real and imaginary parts of one triangle), in which the generator is a
@@ -391,15 +393,24 @@ class Trajectory(MomentTrajectory):
                    self.purity, self.delta_nn, self.truncation_mass)
 
 
-def _trajectory(result, blocks: np.ndarray, rho_final: np.ndarray,
-                basis: TwoModeBasis) -> Trajectory:
-    """Trajectory of an integrator result whose samples have the grade-0
-    coordinates `blocks`, which determine every recorded observable."""
+def _sample_recorder(basis: TwoModeBasis, grade0: np.ndarray | None = None):
+    """The `record` function of a propagation: the 14 `block_moments`
+    components and the boundary mass of a state's grade-0 coordinates,
+    gathered at the positions `grade0` of the state's when given."""
     bpos = number_block_space(basis).boundary_diag_positions
+
+    def record(v):
+        x = v if grade0 is None else v[grade0]
+        return np.append(block_moments(x, basis).vector, np.sum(x[bpos]))
+    return record
+
+
+def _trajectory(result, rho_final: np.ndarray) -> Trajectory:
+    """Trajectory of an integrator result recorded by `_sample_recorder`."""
     return Trajectory(
-        ts=np.asarray(result.sample_ts),
-        ys=np.array([block_moments(x, basis).vector for x in blocks]),
-        truncation_mass=np.array([float(np.sum(x[bpos])) for x in blocks]),
+        ts=result.sample_ts,
+        ys=result.sample_ys[:, :-1],
+        truncation_mass=result.sample_ys[:, -1],
         rho_final=rho_final,
         n_steps=result.n_steps, n_rejected=result.n_rejected,
         n_rhs=result.n_rhs)
@@ -422,9 +433,10 @@ def boundary_monitor(boundary: np.ndarray, ceiling: float,
 
 
 def _integrate(y0: np.ndarray, t_final: float, gen: sp.csr_array,
-               boundary: np.ndarray, config: PropagationConfig):
-    """Integrate y' = gen y, aborting once the diagonal entries at
-    `boundary` carry more than the ceiling."""
+               boundary: np.ndarray, config: PropagationConfig, record):
+    """Integrate y' = gen y, recording `record` of each sample and
+    aborting once the diagonal entries at `boundary` carry more than the
+    ceiling."""
     monitor = boundary_monitor(boundary, config.truncation_ceiling)
     monitor(0.0, y0)
 
@@ -435,7 +447,7 @@ def _integrate(y0: np.ndarray, t_final: float, gen: sp.csr_array,
         rhs, (0.0, t_final), y0,
         rtol=config.rtol, atol=config.atol,
         sample_times=sample_grid(t_final, config.sample_interval, 200),
-        monitor=monitor,
+        monitor=monitor, record=record,
     )
 
 
@@ -451,15 +463,15 @@ def propagate(rho0: np.ndarray, t_final: float, params: SystemParams,
     """
     fock.check_density_matrix(rho0)
     index = _full_index(basis)
-    result = _integrate(
-        pack_block(rho0, index), t_final,
-        _real_generator(build_liouvillian(params, basis), index),
-        index.diag_positions[basis.boundary], config)
     # both layouts keep the real part of rho[i, j] for i <= j, so the
     # grade-0 coordinates are the full ones at the block entries' positions
     grade0 = index.herm_perm[number_block_space(basis).entries]
-    return _trajectory(result, result.sample_ys[:, grade0],
-                       unpack_block(result.y, index), basis)
+    result = _integrate(
+        pack_block(rho0, index), t_final,
+        _real_generator(build_liouvillian(params, basis), index),
+        index.diag_positions[basis.boundary], config,
+        _sample_recorder(basis, grade0))
+    return _trajectory(result, unpack_block(result.y, index))
 
 
 def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
@@ -477,6 +489,5 @@ def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
     result = _integrate(
         pack_block(rho0, space), t_final,
         build_number_block_generator(params, basis),
-        space.boundary_diag_positions, config)
-    return _trajectory(result, result.sample_ys,
-                       unpack_block(result.y, space), basis)
+        space.boundary_diag_positions, config, _sample_recorder(basis))
+    return _trajectory(result, unpack_block(result.y, space))

@@ -1,8 +1,11 @@
 """Adaptive embedded Runge-Kutta 5(4) integrator (Dormand-Prince pair).
 
 Hand-rolled rather than delegated so that every step is clamped onto the
-sample times (the samples are states, not interpolants) and a per-step
-abort monitor (e.g. a truncation-mass ceiling) sees every accepted state.
+sample times and a per-step abort monitor (e.g. a truncation-mass ceiling)
+sees every accepted state.  A sample is what the `record` function returns
+for the state at a sample time (by default the state itself), never an
+interpolant; the samples fill one array allocated at the first of them, so
+a caller that needs a few numbers of each state never holds the states.
 Works on real or complex flat state vectors.
 """
 
@@ -102,12 +105,15 @@ def integrate_dp45(
     atol: float = 1e-10,
     sample_times: Sequence[float] | None = None,
     monitor: Callable[[float, np.ndarray], None] | None = None,
+    record: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> OdeResult:
     """Integrate y' = rhs(t, y) from t_span[0] to t_span[1].
 
     sample_times are hit exactly (the step is clamped onto them).  monitor
-    is called after every accepted step and may raise to abort.  Backward
-    integration (t1 < t0) is supported.
+    is called after every accepted step and may raise to abort.  Row i of
+    sample_ys is record(y) at sample_ts[i], a copy of y when record is
+    None; every call of record must return the shape and dtype of its
+    first.  Backward integration (t1 < t0) is supported.
     """
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
@@ -124,26 +130,36 @@ def integrate_dp45(
         for s in samples:
             if (s - t0) * direction < -1e-12 or (t1 - s) * direction < -1e-12:
                 raise ValueError("sample time outside integration span")
-    sample_ys: list[np.ndarray] = []
-    sample_ts: list[float] = []
+    # allocated at the first sample, from the shape and dtype it records
+    sample_ys = None
     next_sample = 0
 
     def record_if_sample(tcur, ycur):
-        nonlocal next_sample
+        nonlocal next_sample, sample_ys
         while next_sample < len(samples) and abs(samples[next_sample] - tcur) <= 1e-12 * max(1.0, abs(tcur)):
-            sample_ts.append(samples[next_sample])
-            sample_ys.append(ycur.copy())
+            row = ycur if record is None else record(ycur)
+            if sample_ys is None:
+                sample_ys = np.empty((len(samples), *row.shape), row.dtype)
+            sample_ys[next_sample] = row
             next_sample += 1
+
+    def finish(res):
+        res.y = y
+        res.sample_ts = np.array(samples[:next_sample])
+        res.sample_ys = (np.empty((0, *y.shape)) if sample_ys is None
+                         else sample_ys[:next_sample])
+        return res
 
     res = OdeResult(y=y, sample_ts=np.empty(0), sample_ys=np.empty(0))
     f = rhs(t, y)
     res.n_rhs += 1
+    # the state keeps one dtype, that of y0 and rhs's values together, so
+    # that every raw sample fits the array allocated at the first
+    y = y.astype(np.result_type(y, f), copy=False)
     record_if_sample(t, y)
 
     if t0 == t1:
-        res.sample_ts = np.array(sample_ts)
-        res.sample_ys = np.array(sample_ys)
-        return res
+        return finish(res)
 
     h = _initial_step(rhs, t, y, f, rtol, atol)
     res.n_rhs += 2
@@ -190,7 +206,4 @@ def integrate_dp45(
             res.n_rejected += 1
             h = h_eff * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
 
-    res.y = y
-    res.sample_ts = np.array(sample_ts)
-    res.sample_ys = np.array(sample_ys) if sample_ys else np.empty((0, y.size))
-    return res
+    return finish(res)

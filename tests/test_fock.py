@@ -232,6 +232,16 @@ def test_density_validation():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         fock.check_density_matrix(bad)
+    # an anti-Hermitian imaginary part i eps (|0><1| + |1><0|) has
+    # |rho - rho^H| = 2 eps at those two entries
+    for factor, raises in ((1.01, True), (0.99, False)):
+        bad = rho.astype(complex).copy()
+        bad[0, 1] = bad[1, 0] = 0.5j * factor * fock._HERM_TOL
+        if raises:
+            with pytest.raises(ValueError, match="Hermitian"):
+                fock.check_density_matrix(bad)
+        else:
+            fock.check_density_matrix(bad)
 
 
 def test_coherent_state_cutoff_guard():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,28 @@ def test_block_route_matches_full_route(small_setup):
                  (full.s_z, blk.s_z), (full.n, blk.n),
                  (full.delta_nn, blk.delta_nn)):
         assert a == pytest.approx(b, abs=1e-8)
+
+
+def test_propagation_keeps_no_sampled_state():
+    # 2,001 samples of a 625-coordinate state: the samples alone would be
+    # 10 MB; recording their moments takes 2001 x 15 floats (0.24 MB)
+    basis = fock.build_basis(4)
+    params = SystemParams(J=1.0, U=0.3, gamma=0.5, n0=2)
+    rho0 = fock.density_from_state(fock.coherent_state(basis, 1.0, 0.3, 2))
+    cfg = liouville.PropagationConfig(sample_interval=1e-3,
+                                      truncation_ceiling=1.0)
+    liouville.propagate(rho0, 1e-3, params, basis, cfg)  # fills the caches
+    tracemalloc.start()
+    try:
+        traj = liouville.propagate(rho0, 2.0, params, basis, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state_bytes = 8 * basis.dim**2
+    assert len(traj.ts) == 2001
+    # a quarter of a state per sample (2.5 MB); this run peaks at 0.48 MB,
+    # one that keeps every sampled state at 20.6 MB (4.1 states per sample)
+    assert peak < 0.25 * len(traj.ts) * state_bytes
 
 
 def test_long_time_convergence_to_steady_state(fig3_params, basis24,

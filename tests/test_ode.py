@@ -76,6 +76,33 @@ def test_rejects_bad_tolerances():
                        rtol=0.0, atol=1e-12)
 
 
+def _spiral(t, y):
+    return np.array([-0.1 * y[0] + y[1], -y[0] - 0.1 * y[1]])
+
+
+def _summary(y):
+    return np.array([np.sum(y.real), np.abs(y).max(), np.vdot(y, y).real])
+
+
+@pytest.mark.parametrize("rhs, y0, span, ts", [
+    (_spiral, np.array([1.0, 0.0]), (0.0, 3.0), np.linspace(0.0, 3.0, 7)),
+    (lambda t, y: (1j - 0.2) * y, np.array([1.0 + 0.5j, -0.3j]), (0.0, 3.0),
+     [0.0, 0.4, 1.7, 3.0]),
+    (_spiral, np.array([1.0, 0.0]), (0.5, 0.5), [0.5]),
+    (_spiral, np.array([1.0, 0.0]), (0.0, 3.0), None),
+])
+def test_record_stores_what_it_returns_for_each_raw_sample(rhs, y0, span,
+                                                           ts):
+    raw = integrate_dp45(rhs, span, y0, sample_times=ts)
+    kept = integrate_dp45(rhs, span, y0, sample_times=ts, record=_summary)
+    assert len(kept.sample_ys) == len(raw.sample_ys) \
+        == (0 if ts is None else len(ts))
+    assert np.array_equal(kept.sample_ts, raw.sample_ts)
+    assert np.array_equal(kept.y, raw.y)
+    for row, state in zip(kept.sample_ys, raw.sample_ys, strict=True):
+        assert np.array_equal(row, _summary(state))
+
+
 def _bbr_run(interval):
     params = SystemParams(J=1.0, U=0.0, gamma=0.5, n0=2)
     return bbr.integrate(bbr.pure_state_moments(np.pi / 2, 0.0, 2), 1.0,
