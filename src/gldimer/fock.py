@@ -10,7 +10,11 @@ layout: `BlochMoments` holds (s_x, s_y, s_z, n) and the 4 x 4 covariance
 block, `BlochMoments.vector` flattens them into the 14 components named
 by COMPONENT_NAMES (the layout of the closed-moment kernel), and
 `MomentTrajectory` holds such vectors sampled in time, one row per
-sample.  Purity is defined once, on this record.
+sample.  Purity is defined once, on this record, and so is the step from
+expectations to moments: `_moment_vectors` turns the expectations of the
+four Bloch quadratics and their ten symmetrized pair products into that
+layout, here for the dense `bloch_moments` and in `liouville` for every
+state read from packed coordinates.
 """
 
 from __future__ import annotations
@@ -148,14 +152,11 @@ def bloch_operators(basis: TwoModeBasis):
 
 @lru_cache(maxsize=None)
 def _bloch_pair_products(basis: TwoModeBasis):
-    """Symmetrized products {A_j, A_k} for the ten covariance entries."""
+    """Symmetrized products {A_j, A_k} for the ten covariance entries, in
+    the order of their components in COMPONENT_NAMES."""
     ops = bloch_operators(basis)
-    pairs = {}
-    for j in range(4):
-        for k in range(j, 4):
-            prod = ops[j] @ ops[k]
-            pairs[(j, k)] = sp.csr_array(prod + prod.conj().T)
-    return pairs
+    prods = (ops[j] @ ops[k] for j, k in zip(*_PAIRS))
+    return tuple(sp.csr_array(p + p.conj().T) for p in prods)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +222,8 @@ def check_density_matrix(rho: np.ndarray):
 # the flat moment layout of BlochMoments.vector and MomentTrajectory.ys
 COMPONENT_NAMES = ("s_x", "s_y", "s_z", "n", "D_xx", "D_xy", "D_xz", "D_xn",
                    "D_yy", "D_yz", "D_yn", "D_zz", "D_zn", "D_nn")
+# (j, k) of the covariance entries delta[j, k] at COMPONENT_NAMES[4:]
+_PAIRS = np.triu_indices(4)
 
 # purity is undefined at or below this particle number
 MIN_PARTICLE_NUMBER = 1e-12
@@ -228,6 +231,16 @@ MIN_PARTICLE_NUMBER = 1e-12
 
 def _purity(s_x, s_y, s_z, n):
     return (s_x**2 + s_y**2 + s_z**2) / n**2
+
+
+def _moment_vectors(e: np.ndarray) -> np.ndarray:
+    """`BlochMoments.vector` of the expectations e[..., :14], the four
+    <A_j> and then the ten <{A_j, A_k}> of `_bloch_pair_products`; of one
+    state, or of one state per row."""
+    means = e[..., :4]
+    delta = e[..., 4:14] - 2.0 * means[..., _PAIRS[0]] * means[..., _PAIRS[1]]
+    return np.concatenate((2.0 * means[..., :3], means[..., 3:], delta),
+                          axis=-1)
 
 
 @dataclass(frozen=True)
@@ -259,25 +272,14 @@ class BlochMoments:
         """Flat 14-component layout (COMPONENT_NAMES: s_x, s_y, s_z, n,
         upper triangle of delta row-wise) shared with the moment-closure
         kernels."""
-        d = self.delta
-        return np.array([
-            self.s_x, self.s_y, self.s_z, self.n,
-            d[0, 0], d[0, 1], d[0, 2], d[0, 3],
-            d[1, 1], d[1, 2], d[1, 3],
-            d[2, 2], d[2, 3], d[3, 3],
-        ])
+        return np.concatenate(([self.s_x, self.s_y, self.s_z, self.n],
+                               self.delta[_PAIRS]))
 
     @classmethod
     def from_vector(cls, y) -> BlochMoments:
         """The moments whose `vector` is y (any sequence of 14 floats)."""
         d = np.empty((4, 4))
-        d[0, 0], d[0, 1], d[0, 2], d[0, 3] = y[4:8]
-        d[1, 1], d[1, 2], d[1, 3] = y[8:11]
-        d[2, 2], d[2, 3] = y[11:13]
-        d[3, 3] = y[13]
-        for j in range(4):
-            for k in range(j):
-                d[j, k] = d[k, j]
+        d[_PAIRS] = d[_PAIRS[::-1]] = y[4:14]
         return cls(s_x=float(y[0]), s_y=float(y[1]), s_z=float(y[2]),
                    n=float(y[3]), delta=d)
 
@@ -330,19 +332,9 @@ def expectation(op: sp.csr_array, rho: np.ndarray) -> complex:
 
 
 def bloch_moments(rho: np.ndarray, basis: TwoModeBasis) -> BlochMoments:
-    ops = bloch_operators(basis)
-    means = np.array([expectation(op, rho).real for op in ops])
-    pairs = _bloch_pair_products(basis)
-    delta = np.empty((4, 4))
-    for j in range(4):
-        for k in range(j, 4):
-            val = expectation(pairs[(j, k)], rho).real - 2.0 * means[j] * means[k]
-            delta[j, k] = val
-            delta[k, j] = val
-    return BlochMoments(
-        s_x=2.0 * means[0], s_y=2.0 * means[1], s_z=2.0 * means[2],
-        n=means[3], delta=delta,
-    )
+    ops = bloch_operators(basis) + _bloch_pair_products(basis)
+    e = np.array([expectation(op, rho).real for op in ops])
+    return BlochMoments.from_vector(_moment_vectors(e))
 
 
 def site_distribution(rho: np.ndarray, basis: TwoModeBasis, site: int) -> np.ndarray:

@@ -26,9 +26,14 @@ Three representations are provided:
 
 Both propagations return a `Trajectory`: the `fock.MomentTrajectory` of
 the sampled Bloch moments, with the boundary mass of every sample, the
-final state and the integrator's step counts.  The integrator records
-only those 15 numbers at each sample time, read from the state's grade-0
-coordinates there; no sampled state is kept.
+final state and the integrator's step counts.  A sample is the one
+sparse product W @ y of the state's coordinates y with the observable
+matrix W of `_block_observable_weights`, whose 15 rows read the
+expectations of the Bloch quadratics and of their pair products and the
+boundary mass from the grade-0 coordinates (`propagate` maps W's columns
+to those positions in its full ones); no sampled state is kept.
+`fock._moment_vectors`, the one step from expectations to covariances,
+turns all samples into moments at once after the integration.
 
 Both propagations run on real Hermitian coordinates (the diagonal and the
 real and imaginary parts of one triangle), in which the generator is a
@@ -53,13 +58,6 @@ from .errors import TruncationOverflowError
 from .fock import BlochMoments, MomentTrajectory, TwoModeBasis
 from .ode import integrate_dp45, sample_grid
 from .system import SystemParams
-
-__all__ = [
-    "PropagationConfig", "Trajectory",
-    "build_liouvillian", "apply_liouvillian", "propagate",
-    "moment_trajectory", "NumberBlockSpace", "number_block_space",
-    "build_number_block_generator", "boundary_monitor",
-]
 
 TRAJECTORY_COLUMNS = ("t", "s_x", "s_y", "s_z", "n", "P", "Delta_nn",
                       "truncation_mass")
@@ -339,37 +337,31 @@ def build_number_block_generator(params: SystemParams,
 
 
 @lru_cache(maxsize=8)
-def _block_observable_weights(basis: TwoModeBasis):
-    """Real weight vectors w with <O> = w . pack_block(rho) for the Bloch
-    moments and their symmetrized pair products: Re(T^T c) for the complex
-    weights c of the packed entries and the coordinate map T."""
+def _block_observable_weights(basis: TwoModeBasis) -> sp.csr_array:
+    """The real sparse matrix W whose product W @ pack_block(rho) holds a
+    state's 15 observables: the expectations of the four Bloch quadratics
+    and of their ten symmetrized pair products, in the order
+    `fock._moment_vectors` reads, and the boundary mass.  A quadratic's
+    row is Re(T^T c) for the complex weights c of the packed entries and
+    the coordinate map T; the boundary row is 1 at the boundary's
+    diagonal positions."""
     space = number_block_space(basis)
-    ops = fock.bloch_operators(basis)
-    pairs = fock._bloch_pair_products(basis)
+    ops = fock.bloch_operators(basis) + fock._bloch_pair_products(basis)
     to_entries = _coordinate_map(space).T
     ket, bra = np.divmod(space.entries, basis.dim)
-
-    def weights(op) -> np.ndarray:
-        # <O> = sum O[bra, ket] rho[ket, bra]
-        return (to_entries @ op[bra, ket]).real
-
-    firsts = tuple(weights(op) for op in ops)
-    seconds = {key: weights(val) for key, val in pairs.items()}
-    return firsts, seconds
+    boundary = np.zeros(space.size)
+    boundary[space.boundary_diag_positions] = 1.0
+    # <O> = sum O[bra, ket] rho[ket, bra]; each row is made sparse before
+    # the next is formed, so the build holds one dense row at a time
+    rows =[sp.csr_array((to_entries @ op[bra, ket]).real[None]) for op in ops]
+    return sp.vstack(rows + [sp.csr_array(boundary[None])], format="csr")
 
 
 def block_moments(x: np.ndarray, basis: TwoModeBasis) -> BlochMoments:
     """Bloch moments evaluated directly on the real coordinates x of a
-    grade-0 state."""
-    firsts, seconds = _block_observable_weights(basis)
-    means = np.array([w @ x for w in firsts])
-    delta = np.empty((4, 4))
-    for (j, k), w in seconds.items():
-        val = w @ x - 2.0 * means[j] * means[k]
-        delta[j, k] = val
-        delta[k, j] = val
-    return BlochMoments(s_x=2 * means[0], s_y=2 * means[1], s_z=2 * means[2],
-                        n=means[3], delta=delta)
+    grade-0 state, from the one product W @ x."""
+    return BlochMoments.from_vector(
+        fock._moment_vectors(_block_observable_weights(basis) @ x))
 
 
 # ---------------------------------------------------------------------------
@@ -393,24 +385,14 @@ class Trajectory(MomentTrajectory):
                    self.purity, self.delta_nn, self.truncation_mass)
 
 
-def _sample_recorder(basis: TwoModeBasis, grade0: np.ndarray | None = None):
-    """The `record` function of a propagation: the 14 `block_moments`
-    components and the boundary mass of a state's grade-0 coordinates,
-    gathered at the positions `grade0` of the state's when given."""
-    bpos = number_block_space(basis).boundary_diag_positions
-
-    def record(v):
-        x = v if grade0 is None else v[grade0]
-        return np.append(block_moments(x, basis).vector, np.sum(x[bpos]))
-    return record
-
-
 def _trajectory(result, rho_final: np.ndarray) -> Trajectory:
-    """Trajectory of an integrator result recorded by `_sample_recorder`."""
+    """Trajectory of an integrator result whose samples are the 15
+    observables of `_block_observable_weights`, all turned into moments
+    at once."""
     return Trajectory(
         ts=result.sample_ts,
-        ys=result.sample_ys[:, :-1],
-        truncation_mass=result.sample_ys[:, -1],
+        ys=fock._moment_vectors(result.sample_ys),
+        truncation_mass=result.sample_ys[:, 14],
         rho_final=rho_final,
         n_steps=result.n_steps, n_rejected=result.n_rejected,
         n_rhs=result.n_rhs)
@@ -433,10 +415,12 @@ def boundary_monitor(boundary: np.ndarray, ceiling: float,
 
 
 def _integrate(y0: np.ndarray, t_final: float, gen: sp.csr_array,
-               boundary: np.ndarray, config: PropagationConfig, record):
-    """Integrate y' = gen y, recording `record` of each sample and
-    aborting once the diagonal entries at `boundary` carry more than the
-    ceiling."""
+               boundary: np.ndarray, config: PropagationConfig,
+               weights: sp.csr_array):
+    """Integrate y' = gen y, recording the one product weights @ y of each
+    sample (the rows of `_block_observable_weights` on y's coordinates)
+    and aborting once the diagonal entries at `boundary` carry more than
+    the ceiling."""
     monitor = boundary_monitor(boundary, config.truncation_ceiling)
     monitor(0.0, y0)
 
@@ -447,7 +431,7 @@ def _integrate(y0: np.ndarray, t_final: float, gen: sp.csr_array,
         rhs, (0.0, t_final), y0,
         rtol=config.rtol, atol=config.atol,
         sample_times=sample_grid(t_final, config.sample_interval, 200),
-        monitor=monitor, record=record,
+        monitor=monitor, record=lambda v: weights @ v,
     )
 
 
@@ -466,11 +450,13 @@ def propagate(rho0: np.ndarray, t_final: float, params: SystemParams,
     # both layouts keep the real part of rho[i, j] for i <= j, so the
     # grade-0 coordinates are the full ones at the block entries' positions
     grade0 = index.herm_perm[number_block_space(basis).entries]
+    w = _block_observable_weights(basis)
     result = _integrate(
         pack_block(rho0, index), t_final,
         _real_generator(build_liouvillian(params, basis), index),
         index.diag_positions[basis.boundary], config,
-        _sample_recorder(basis, grade0))
+        sp.csr_array((w.data, grade0[w.indices], w.indptr),
+                     shape=(w.shape[0], index.size), copy=True))
     return _trajectory(result, unpack_block(result.y, index))
 
 
@@ -489,5 +475,6 @@ def moment_trajectory(rho0: np.ndarray, t_final: float, params: SystemParams,
     result = _integrate(
         pack_block(rho0, space), t_final,
         build_number_block_generator(params, basis),
-        space.boundary_diag_positions, config, _sample_recorder(basis))
+        space.boundary_diag_positions, config,
+        _block_observable_weights(basis))
     return _trajectory(result, unpack_block(result.y, space))

@@ -139,6 +139,19 @@ def test_from_vector_roundtrip():
         assert np.array_equal(again.delta, m.delta)
 
 
+def test_pair_products_follow_component_names():
+    # entry i is the product of the two quadratics that COMPONENT_NAMES
+    # names at 4 + i: D_xn is {L_x, n}
+    b = fock.build_basis(3)
+    ops = fock.bloch_operators(b)
+    pairs = fock._bloch_pair_products(b)
+    assert len(pairs) == len(fock.COMPONENT_NAMES) - 4
+    for i, pair in enumerate(pairs):
+        j, k = ("xyzn".index(c) for c in fock.COMPONENT_NAMES[4 + i][2:])
+        prod = (ops[j] @ ops[k]).toarray()
+        assert np.array_equal(pair.toarray(), prod + prod.conj().T)
+
+
 def test_moment_trajectory_purity_per_sample():
     b = fock.build_basis(3)
     states = (fock.density_from_state(fock.coherent_state(b, 1.1, 2.4, 3)),

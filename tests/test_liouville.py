@@ -241,6 +241,31 @@ def test_block_route_matches_full_route(small_setup):
         assert a == pytest.approx(b, abs=1e-8)
 
 
+def test_first_sample_matches_dense_readers():
+    # sample 0 is the one product W @ x of the start state's coordinates; a
+    # start with off-grade coherences and boundary mass checks W's rows and
+    # propagate's map of W's columns into the coordinates of the whole matrix
+    basis = fock.build_basis(5)
+    params = SystemParams(J=1.0, U=0.3, gamma=0.5, n0=2)
+    rho0 = random_density(basis, np.random.default_rng(8),
+                          max_total=2 * basis.cutoff)
+    total = basis.total_of
+    assert np.max(np.abs(rho0[total[:, None] != total])) > 1e-2
+    want = fock.bloch_moments(rho0, basis).vector
+    mass = fock.truncation_mass(rho0, basis)
+    assert mass > 1e-2
+    tol = 1e-13 * np.max(np.abs(want))
+    cfg = liouville.PropagationConfig(sample_interval=0.05,
+                                      truncation_ceiling=1.0)
+    for run in (liouville.propagate, liouville.moment_trajectory):
+        traj = run(rho0, 0.1, params, basis, cfg)
+        assert np.max(np.abs(traj.ys[0] - want)) <= tol
+        assert abs(traj.truncation_mass[0] - mass) <= 1e-13 * mass
+    space = liouville.number_block_space(basis)
+    got = liouville.block_moments(liouville.pack_block(rho0, space), basis)
+    assert np.max(np.abs(got.vector - want)) <= tol
+
+
 def test_propagation_keeps_no_sampled_state():
     # 2,001 samples of a 625-coordinate state: the samples alone would be
     # 10 MB; recording their moments takes 2001 x 15 floats (0.24 MB)
