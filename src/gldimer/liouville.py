@@ -8,21 +8,23 @@ with D(c) rho = c rho c^dag - (c^dag c rho + rho c^dag c)/2.  Operator
 products are taken in the truncated space, which keeps the generator
 exactly trace preserving there.
 
-Three representations are provided:
+The generator is assembled once, in closed form from its matrix elements
+(`_packed_generator`), on the packed entries of a layout:
 
-* the full superoperator on vec(rho) (column stacking), used by
-  `propagate` and as the tests' oracle;
-* a block representation on the number-conserving coherence sector
-  (matrix elements <n1,n2|rho|m1,m2> with n1+n2 = m1+m2), used by
-  `moment_trajectory`, `verify_attractor` and the steady-state solve.
-  The generator never mixes coherence grades (every term shifts the
-  total occupation of bra and ket sides equally), and every exported
-  observable is number conserving, so this block reproduces the full
-  dynamics of those observables exactly at a fraction of the cost.  This
-  makes large cutoffs affordable;
-* the matrix form `apply_liouvillian`, which shares no assembly with the
-  other two: it verifies the steady state on its block-sparse form and
-  serves the tests as an oracle.
+* the number-conserving coherence sector (matrix elements
+  <n1,n2|rho|m1,m2> with n1+n2 = m1+m2), used by `moment_trajectory`,
+  `verify_attractor` and the steady-state solve.  The generator never
+  mixes coherence grades (every term shifts the total occupation of bra
+  and ket sides equally), and every exported observable is number
+  conserving, so this block reproduces the full dynamics of those
+  observables exactly at a fraction of the cost.  This makes large
+  cutoffs affordable;
+* the whole density matrix, every coherence grade, on vec(rho) (column
+  stacking): `build_liouvillian`, used by `propagate`.
+
+The matrix form `apply_liouvillian` shares no code with that assembly: it
+verifies the steady state on its block-sparse form and serves the tests
+as an oracle.
 
 Both propagations return a `Trajectory`: the `fock.MomentTrajectory` of
 the sampled Bloch moments, with the boundary mass of every sample, the
@@ -38,11 +40,10 @@ turns all samples into moments at once after the integration.
 Both propagations run on real Hermitian coordinates (the diagonal and the
 real and imaginary parts of one triangle), in which the generator is a
 real matrix: `moment_trajectory` on those of each sector block,
-`propagate` on those of the whole density matrix.  The block generator is
-written in closed form from its complex matrix elements per
-particle-number sector, the full one is the superoperator; each is then
-mapped to its coordinates.  A state in them is Hermitian by construction,
-so neither propagation re-hermitizes.
+`propagate` on those of the whole density matrix.  The complex generator
+on either layout's packed entries is mapped to its coordinates.  A state
+in them is Hermitian by construction, so neither propagation
+re-hermitizes.
 """
 
 from __future__ import annotations
@@ -77,30 +78,11 @@ class PropagationConfig:
             raise ValueError("tolerances must be positive")
 
 
-def _jump_ops(params: SystemParams, basis: TwoModeBasis):
-    a1 = fock.annihilation(basis, 1)
-    a2d = fock.creation(basis, 2)
-    return a1, a2d
-
-
 @lru_cache(maxsize=8)
 def build_liouvillian(params: SystemParams, basis: TwoModeBasis) -> sp.csr_array:
-    """Full superoperator on vec(rho), column-stacking convention."""
-    dim = basis.dim
-    h = fock.hamiltonian(basis, params.J, params.U)
-    eye = sp.eye_array(dim, dtype=complex, format="csr")
-    lv = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
-    for op, rate in zip(_jump_ops(params, basis),
-                        (params.gamma_loss, params.gamma_gain)):
-        if rate == 0.0:
-            continue
-        opd = sp.csr_array(op.conj().T)
-        k = sp.csr_array(opd @ op)  # truncated product, exactly trace preserving
-        lv = lv + rate * (
-            sp.kron(op.conj(), op)
-            - 0.5 * (sp.kron(eye, k) + sp.kron(k.T, eye))
-        )
-    return sp.csr_array(lv)
+    """The complex generator on vec(rho), column stacking, every coherence
+    grade: `_packed_generator` on the layout of the whole matrix."""
+    return _packed_generator(params, _full_index(basis))
 
 
 def apply_liouvillian(rho: np.ndarray, params: SystemParams,
@@ -110,8 +92,8 @@ def apply_liouvillian(rho: np.ndarray, params: SystemParams,
     sparse operators multiply rho, dense or sparse, directly."""
     h = fock.hamiltonian(basis, params.J, params.U)
     out = -1j * (h @ rho - rho @ h)
-    for op, rate in zip(_jump_ops(params, basis),
-                        (params.gamma_loss, params.gamma_gain)):
+    for op, rate in ((fock.annihilation(basis, 1), params.gamma_loss),
+                     (fock.creation(basis, 2), params.gamma_gain)):
         if rate == 0.0:
             continue
         od = sp.csr_array(op.conj().T)
@@ -142,20 +124,21 @@ class NumberBlockSpace:
     basis: TwoModeBasis
     offsets: np.ndarray
     size: int
-    sector_of: np.ndarray            # total N of every packed position
-    n1_ket: np.ndarray               # site-1 occupation of the ket (row)
-    n1_bra: np.ndarray               # site-1 occupation of the bra (column)
     entries: np.ndarray              # flat index ket * dim + bra in rho
     diag_positions: np.ndarray       # packed positions of rho_ii
     herm_perm: np.ndarray            # packed position of the transposed entry
     lower: np.ndarray                # positions strictly below the diagonal
     boundary_diag_positions: np.ndarray
 
-    def position(self, total, n1_ket, n1_bra) -> np.ndarray:
-        """Packed position of <n1_ket, total - n1_ket|rho|n1_bra, ...>."""
+    def position(self, ket, bra) -> np.ndarray:
+        """Packed position of rho[ket, bra], for basis indices of equal
+        total occupation."""
+        n1k, n2k = np.divmod(ket, self.basis.n_per_site)
+        total = n1k + n2k
         lo = np.maximum(total - self.basis.cutoff, 0)
         d = np.minimum(total, 2 * self.basis.cutoff - total) + 1
-        return self.offsets[total] + (n1_ket - lo) + (n1_bra - lo) * d
+        return (self.offsets[total] + (n1k - lo)
+                + (bra // self.basis.n_per_site - lo) * d)
 
 
 @lru_cache(maxsize=8)
@@ -181,7 +164,6 @@ def number_block_space(basis: TwoModeBasis) -> NumberBlockSpace:
     diag_pos = np.flatnonzero(n1_ket == n1_bra)
     return NumberBlockSpace(
         basis=basis, offsets=offsets, size=size,
-        sector_of=sector_of, n1_ket=n1_ket, n1_bra=n1_bra,
         entries=kets * basis.dim + flat(sector_of, n1_bra),
         diag_positions=diag_pos,
         herm_perm=offsets[sector_of] + col + row * ds, lower=row > col,
@@ -193,9 +175,10 @@ def number_block_space(basis: TwoModeBasis) -> NumberBlockSpace:
 @dataclass(frozen=True)
 class _FullIndex:
     """Real Hermitian coordinates of the whole density matrix, in the
-    fields of NumberBlockSpace that the packing functions read: position
-    p = i + j * dim (column stacking, as `build_liouvillian`) stands for
-    rho[i, j], its real part for i <= j, its imaginary part for i > j."""
+    fields of NumberBlockSpace that the packing functions and
+    `_packed_generator` read: position p = i + j * dim (column stacking of
+    vec(rho)) stands for rho[i, j], its real part for i <= j, its
+    imaginary part for i > j."""
 
     basis: TwoModeBasis
     size: int
@@ -203,6 +186,10 @@ class _FullIndex:
     herm_perm: np.ndarray
     lower: np.ndarray
     diag_positions: np.ndarray
+
+    def position(self, ket, bra) -> np.ndarray:
+        """Position of rho[ket, bra]."""
+        return ket + bra * self.basis.dim
 
 
 def _full_index(basis: TwoModeBasis) -> _FullIndex:
@@ -252,25 +239,27 @@ def _coordinate_map(space: NumberBlockSpace | _FullIndex) -> sp.csr_array:
 
 
 def _packed_generator(params: SystemParams,
-                      space: NumberBlockSpace) -> sp.csr_array:
-    """The complex generator on the packed entries of the grade-0 sector
-    (before the map to real coordinates), written from its matrix
-    elements.
+                      space: NumberBlockSpace | _FullIndex) -> sp.csr_array:
+    """The complex generator on the packed entries of `space` (before the
+    map to real coordinates), written from its matrix elements on the
+    basis indices ket and bra of each entry rho[ket, bra].
 
-    In sector N the Hamiltonian is tridiagonal in n1, with hopping
-    -J sqrt((n1 + 1) n2) between n1 and n1 + 1 and the interaction
-    U/2 (n1 (n1 - 1) + n2 (n2 - 1)) on the diagonal.  The anticommutator
-    terms are diagonal: K_loss = n1, K_gain = n2 + 1 (the truncated
-    product, 0 at n2 = cutoff).  The loss sandwich a1 rho a1^dag feeds
-    sector N - 1 from N with weight sqrt(n1k n1b), the gain sandwich
-    a2^dag rho a2 feeds sector N + 1 from N with weight
-    sqrt((n2k + 1)(n2b + 1)).
+    The Hamiltonian couples |n1, n2> to |n1 + 1, n2 - 1>, the basis index
+    + cutoff, with hopping -J sqrt((n1 + 1) n2); the interaction
+    U/2 (n1 (n1 - 1) + n2 (n2 - 1)) is diagonal.  The anticommutator
+    terms are diagonal too: K_loss = n1, K_gain = n2 + 1 (the truncated
+    product, 0 at n2 = cutoff).  The loss sandwich a1 rho a1^dag moves
+    both indices by -(cutoff + 1) with weight sqrt(n1k n1b), the gain
+    sandwich a2^dag rho a2 moves both by +1 with weight
+    sqrt((n2k + 1)(n2b + 1)).  Every move keeps the coherence grade, so
+    the same elements build the grade-0 sector and the whole matrix.
     """
     cutoff = space.basis.cutoff
     J, U = params.J, params.U
     gl, gg = params.gamma_loss, params.gamma_gain
-    tot, n1k, n1b = space.sector_of, space.n1_ket, space.n1_bra
-    n2k, n2b = tot - n1k, tot - n1b
+    ket, bra = np.divmod(space.entries, space.basis.dim)
+    n1k, n2k = np.divmod(ket, cutoff + 1)
+    n1b, n2b = np.divmod(bra, cutoff + 1)
     pos = np.arange(space.size)
 
     def energy(n1, n2):
@@ -284,11 +273,11 @@ def _packed_generator(params: SystemParams,
     keep = diag != 0
     rows, cols, vals = [pos[keep]], [pos[keep]], [diag[keep]]
 
-    # -i H rho couples n1k to n1k + 1, +i rho H couples n1b to n1b + 1
-    for n1, n2, phase, dk, db in ((n1k, n2k, -1j, 1, 0),
-                                  (n1b, n2b, 1j, 0, 1)):
+    # -i H rho couples the ket to ket + cutoff, +i rho H the bra likewise
+    for n1, n2, phase, dk, db in ((n1k, n2k, -1j, cutoff, 0),
+                                  (n1b, n2b, 1j, 0, cutoff)):
         src = pos[(n2 > 0) & (n1 < cutoff)]
-        dst = space.position(tot[src], n1k[src] + dk, n1b[src] + db)
+        dst = space.position(ket[src] + dk, bra[src] + db)
         val = phase * -J * np.sqrt((n1[src] + 1.0) * n2[src])
         rows += [src, dst]
         cols += [dst, src]
@@ -296,12 +285,13 @@ def _packed_generator(params: SystemParams,
 
     if gl:
         src = pos[(n1k > 0) & (n1b > 0)]
-        rows.append(space.position(tot[src] - 1, n1k[src] - 1, n1b[src] - 1))
+        rows.append(space.position(ket[src] - cutoff - 1,
+                                   bra[src] - cutoff - 1))
         cols.append(src)
         vals.append(gl * np.sqrt(n1k[src] * n1b[src], dtype=float))
     if gg:
         src = pos[(n2k < cutoff) & (n2b < cutoff)]
-        rows.append(space.position(tot[src] + 1, n1k[src], n1b[src]))
+        rows.append(space.position(ket[src] + 1, bra[src] + 1))
         cols.append(src)
         vals.append(gg * np.sqrt((n2k[src] + 1.0) * (n2b[src] + 1.0)))
 
@@ -438,8 +428,8 @@ def _integrate(y0: np.ndarray, t_final: float, gen: sp.csr_array,
 def propagate(rho0: np.ndarray, t_final: float, params: SystemParams,
               basis: TwoModeBasis,
               config: PropagationConfig = PropagationConfig()) -> Trajectory:
-    """Propagate a density matrix, every coherence grade of it, with the
-    full superoperator mapped to the real Hermitian coordinates of the
+    """Propagate a density matrix, every coherence grade of it, with
+    `build_liouvillian` mapped to the real Hermitian coordinates of the
     whole matrix; rho_final is exactly Hermitian.
 
     Aborts with TruncationOverflowError when the probability on the

@@ -1,7 +1,10 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from gldimer import fock, liouville, steadysolve
+from gldimer import fock, steadysolve
 from gldimer.ode import integrate_dp45
 from gldimer.system import SystemParams
 
@@ -61,14 +64,36 @@ def steady_n0_5():
     return steady
 
 
+@lru_cache(maxsize=8)
+def kron_liouvillian(params, basis):
+    """The generator on vec(rho), column stacking, as Kronecker products
+    of the operators: an oracle that shares no assembly with
+    `liouville.build_liouvillian`."""
+    dim = basis.dim
+    h = fock.hamiltonian(basis, params.J, params.U)
+    eye = sp.eye_array(dim, dtype=complex, format="csr")
+    lv = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
+    for op, rate in ((fock.annihilation(basis, 1), params.gamma_loss),
+                     (fock.creation(basis, 2), params.gamma_gain)):
+        if rate == 0.0:
+            continue
+        opd = sp.csr_array(op.conj().T)
+        k = sp.csr_array(opd @ op)  # truncated product, exactly trace preserving
+        lv = lv + rate * (
+            sp.kron(op.conj(), op)
+            - 0.5 * (sp.kron(eye, k) + sp.kron(k.T, eye))
+        )
+    return sp.csr_array(lv)
+
+
 def fd_moment_derivative(rho0, params, basis, eps=0.01):
     """Richardson-extrapolated central difference of the 14 moment
     expectation values under exact master-equation propagation, at t = 0.
 
-    Independent oracle for the closed moment equations: only the exact
+    Independent oracle for the closed moment equations: only the kron
     generator and short full-state propagations enter.
     """
-    lv = liouville.build_liouvillian(params, basis)
+    lv = kron_liouvillian(params, basis)
     vals = {}
     for s in (+2, +1, -1, -2):
         res = integrate_dp45(lambda _t, v: lv @ v, (0.0, s * eps),

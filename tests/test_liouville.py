@@ -8,7 +8,7 @@ from gldimer.errors import TruncationOverflowError
 from gldimer.io import write_csv
 from gldimer.system import SystemParams
 
-from conftest import random_density
+from conftest import kron_liouvillian, random_density
 
 
 @pytest.fixture(scope="module")
@@ -89,13 +89,16 @@ def test_number_block_generator_matches_full(small_setup):
     assert np.max(np.abs(blk - full)) < 1e-13
 
 
-@pytest.mark.parametrize("cutoff", range(1, 7))
-@pytest.mark.parametrize("J, U, gamma, n0", [
+KRON_PARAMS = [
     (1.0, 0.0, 0.5, 1),      # U = 0
     (1.0, 5.0, 0.7, 2),      # g = 5
     (0.7, 0.3, 0.0, 5),      # both rates zero
     (1.0, 0.4, 1.3, 5),
-])
+]
+
+
+@pytest.mark.parametrize("cutoff", range(1, 7))
+@pytest.mark.parametrize("J, U, gamma, n0", KRON_PARAMS)
 def test_number_block_generator_matches_kron_restriction(cutoff, J, U, gamma,
                                                          n0):
     # the real sector generator against the kron superoperator on vec(rho):
@@ -103,7 +106,7 @@ def test_number_block_generator_matches_kron_restriction(cutoff, J, U, gamma,
     basis = fock.build_basis(cutoff)
     params = SystemParams(J=J, U=U, gamma=gamma, n0=n0)
     space = liouville.number_block_space(basis)
-    lv = liouville.build_liouvillian(params, basis)
+    lv = kron_liouvillian(params, basis)
     ref = np.empty((space.size, space.size))
     for p in range(space.size):
         e = np.zeros(space.size)
@@ -118,6 +121,24 @@ def test_number_block_generator_matches_kron_restriction(cutoff, J, U, gamma,
     assert np.all(gen.data != 0)
 
 
+@pytest.mark.parametrize("cutoff", range(1, 7))
+@pytest.mark.parametrize("J, U, gamma, n0", KRON_PARAMS)
+def test_full_generator_matches_kron(cutoff, J, U, gamma, n0):
+    # the closed-form assembly on the whole matrix against the kron
+    # superoperator: the same sparsity pattern and the same entries
+    basis = fock.build_basis(cutoff)
+    params = SystemParams(J=J, U=U, gamma=gamma, n0=n0)
+    gen = liouville.build_liouvillian(params, basis)
+    assert gen.format == "csr" and np.iscomplexobj(gen.data)
+    gen, ref = gen.copy(), kron_liouvillian(params, basis).copy()
+    gen.eliminate_zeros()
+    ref.eliminate_zeros()
+    assert gen.nnz == ref.nnz
+    diff = (gen - ref).data
+    assert np.max(np.abs(diff), initial=0.0) \
+        <= 1e-13 * np.max(np.abs(ref.data))
+
+
 def test_full_real_generator_matches_kron(small_setup):
     # the real generator on the coordinates of the whole matrix against the
     # kron superoperator on vec(rho), for a state with off-grade coherences
@@ -127,11 +148,12 @@ def test_full_real_generator_matches_kron(small_setup):
     assert np.max(np.abs(rho[total[:, None] != total])) > 1e-2
     index = liouville._full_index(basis)
     coords = liouville.pack_block(rho, index)
-    lv = liouville.build_liouvillian(params, basis)
     ref = liouville.pack_block(
-        (lv @ rho.ravel(order="F")).reshape((basis.dim,) * 2, order="F"),
+        (kron_liouvillian(params, basis) @ rho.ravel(order="F")).reshape(
+            (basis.dim,) * 2, order="F"),
         index)
-    gen = liouville._real_generator(lv, index)
+    gen = liouville._real_generator(
+        liouville.build_liouvillian(params, basis), index)
     assert gen.dtype == float
     assert np.max(np.abs(gen @ coords - ref)) < 1e-13
 

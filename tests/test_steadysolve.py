@@ -10,6 +10,8 @@ from gldimer.errors import ConvergenceError, TruncationOverflowError
 from gldimer.io import write_csv, write_json
 from gldimer.system import SystemParams
 
+from conftest import kron_liouvillian
+
 
 def test_rejects_gamma_zero():
     basis = fock.build_basis(4)
@@ -62,7 +64,7 @@ def test_reduction_routes_agree():
     params = SystemParams.from_g(g=0.3, gamma=0.6, n0=2)
     sol = steadysolve.solve_steady(
         params, basis, steadysolve.SteadySolveConfig(truncation_ceiling=1e-2))
-    lv = liouville.build_liouvillian(params, basis)
+    lv = kron_liouvillian(params, basis)
     assert np.max(np.abs(lv @ sol.rho.ravel(order="F"))) < 1e-10
 
 
@@ -79,7 +81,7 @@ def test_matches_dense_null_vector(g, gamma):
     params = SystemParams.from_g(g=g, gamma=gamma, n0=5)
     sol = steadysolve.solve_steady(
         params, basis, steadysolve.SteadySolveConfig(truncation_ceiling=1.0))
-    lv = liouville.build_liouvillian(params, basis).toarray()
+    lv = kron_liouvillian(params, basis).toarray()
     lu = sla.lu_factor(lv - 1e-9 * np.eye(len(lv)))
     v = np.ones(len(lv), dtype=complex)
     for _ in range(3):
